@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from . import security
 from .kernel import Engine
@@ -285,6 +285,9 @@ class Network:
             if spec.registered:
                 keys.provision_member(spec.id)
 
+        # every endpoint a broadcast can reach, in delivery order
+        self._broadcast_receivers = tuple(sorted([CMU_ID, *self.nodes]))
+
         self.notifications: list[Notification] = []
         self.role_changes: list[RoleChange] = []
         self.succession_tables: list[SuccessionTable] = []
@@ -431,8 +434,9 @@ class Network:
             self._transmit(kind, sender, receiver, subject, detail, length,
                            payload)
 
-    def _on_key_exchange(self, env: Envelope, receiver: int) -> None:
-        step = _detail_field(env.detail, "hs")
+    def _on_key_exchange(self, env: Envelope, receiver: int,
+                         fields: dict[str, str]) -> None:
+        step = fields.get("hs")
         other = env.sender
         pair = frozenset((receiver, other))
         if step == "1":
@@ -484,7 +488,8 @@ class Network:
         self._notify(Severity.ALERT, Cause.AUTH_FAILURE, subject=node,
                      reporter=CMU_ID)
 
-    def _on_auth_request(self, env: Envelope) -> None:
+    def _on_auth_request(self, env: Envelope, receiver: int,
+                         fields: dict[str, str]) -> None:
         node = env.sender
         if node in self._granted:
             self._post(EnvelopeKind.AUTHORIZATION_GRANT, CMU_ID, BROADCAST,
@@ -494,14 +499,15 @@ class Network:
             self._notify(Severity.ALERT, Cause.AUTH_FAILURE, subject=node,
                          reporter=CMU_ID)
             return
-        hw = int(_detail_field(env.detail, "hw"))
+        hw = int(fields["hw"])
         nonce = fresh_nonce(self.engine.rng)
         self._pending_challenge[node] = (nonce, hw)
         self._post(EnvelopeKind.AUTH_CHALLENGE, CMU_ID, node,
                    detail=f"nonce={nonce}")
 
-    def _on_auth_challenge(self, env: Envelope, node: int) -> None:
-        nonce = int(_detail_field(env.detail, "nonce"))
+    def _on_auth_challenge(self, env: Envelope, node: int,
+                           fields: dict[str, str]) -> None:
+        nonce = int(fields["nonce"])
         st = self.nodes[node]
         secret = self.tota.secret if st.registered else b"not-a-member"
         digest = tota_response(secret, node, nonce,
@@ -509,7 +515,8 @@ class Network:
         self._post(EnvelopeKind.AUTH_RESPONSE, node, CMU_ID,
                    detail=f"nonce={nonce}", payload=digest)
 
-    def _on_auth_response(self, env: Envelope) -> None:
+    def _on_auth_response(self, env: Envelope, receiver: int,
+                          fields: dict[str, str]) -> None:
         node = env.sender
         pending = self._pending_challenge.pop(node, None)
         if pending is None:
@@ -534,7 +541,8 @@ class Network:
         if self.profile.kind is ProfileKind.AUTH_ENCAP:
             self._ensure_handshake(CMU_ID, node)
 
-    def _on_auth_grant(self, env: Envelope, receiver: int) -> None:
+    def _on_auth_grant(self, env: Envelope, receiver: int,
+                       fields: dict[str, str]) -> None:
         subject = env.subject
         if subject is None:
             return
@@ -638,7 +646,8 @@ class Network:
     def _drop_monitor(self, watcher: int, watched: int) -> None:
         self._monitor_map(watcher).pop(watched, None)
 
-    def _on_monitored_delivery(self, watcher: int, env: Envelope) -> None:
+    def _on_monitored_delivery(self, env: Envelope, watcher: int,
+                               fields: dict[str, str]) -> None:
         ms = self._monitor_map(watcher).get(env.sender)
         if ms is None or ms.kind is not env.kind:
             return
@@ -756,7 +765,8 @@ class Network:
         self.engine.schedule_timer(self.engine.now + PROBE_INTERVAL_MS,
                                    CMU_ID, f"probe/{target}", gen)
 
-    def _on_probe(self, env: Envelope, node: int) -> None:
+    def _on_probe(self, env: Envelope, node: int,
+                  fields: dict[str, str]) -> None:
         if self.engine.is_responsive(node):
             self._post(EnvelopeKind.PONG, node, CMU_ID, detail="probe")
 
@@ -863,7 +873,8 @@ class Network:
         fo.confirm_target = None
         self._confirm_next()
 
-    def _on_pong(self, env: Envelope) -> None:
+    def _on_pong(self, env: Envelope, receiver: int,
+                 fields: dict[str, str]) -> None:
         purpose = env.detail
         sender = env.sender
         if purpose == "probe":
@@ -949,80 +960,108 @@ class Network:
         return True
 
     def _on_deliver(self, env: Envelope) -> None:
-        if env.receiver == BROADCAST:
-            receivers = [n for n in sorted([CMU_ID, *self.nodes])
-                         if n != env.sender]
-        else:
-            receivers = [env.receiver]
-        for receiver in receivers:
-            if self._eligible(receiver, env):
-                self._deliver_to(receiver, env)
+        """Hand one delivered envelope to each eligible receiver.
 
-    def _deliver_to(self, receiver: int, env: Envelope) -> None:
-        if env.kind not in BOOTSTRAP_KINDS:
-            try:
-                security.unwrap(env, self.profile, self.keys, receiver)
-            except security.SimError:
-                self._notify(Severity.ALERT, Cause.AUTH_FAILURE,
-                             subject=env.sender, reporter=receiver)
-                return
-            if env.sender != CMU_ID and env.sender not in self._granted:
-                self._notify(Severity.ALERT, Cause.AUTH_FAILURE,
-                             subject=env.sender, reporter=receiver)
-                return
-        self._dispatch_kind(env, receiver)
-
-    def _dispatch_kind(self, env: Envelope, receiver: int) -> None:
+        The checks every receiver shares (profile, signature, a granted
+        sender) run once per envelope; each eligible receiver that cannot
+        open the envelope still logs its own auth failure, in receiver
+        order.
+        """
+        sender = env.sender
         kind = env.kind
-        if kind is EnvelopeKind.AUTHORIZATION_REQUEST and receiver == CMU_ID:
-            self._on_auth_request(env)
-        elif kind is EnvelopeKind.AUTH_CHALLENGE and receiver != CMU_ID:
-            self._on_auth_challenge(env, receiver)
-        elif kind is EnvelopeKind.AUTH_RESPONSE and receiver == CMU_ID:
-            self._on_auth_response(env)
-        elif kind is EnvelopeKind.AUTHORIZATION_GRANT:
-            self._on_auth_grant(env, receiver)
-        elif kind is EnvelopeKind.KEY_EXCHANGE:
-            self._on_key_exchange(env, receiver)
-        elif kind in (EnvelopeKind.SENSOR_DATA, EnvelopeKind.STATUS_BROADCAST):
-            self._on_monitored_delivery(receiver, env)
-        elif kind is EnvelopeKind.WARNING and receiver == CMU_ID:
-            self._ingest(Notification(
-                severity=Severity.WARNING, subject=env.subject,
-                cause=Cause.SINGLE_LOSS, at=env.sent_at, reporter=env.sender))
-        elif kind is EnvelopeKind.ALERT and receiver == CMU_ID:
-            self._ingest(Notification(
-                severity=Severity.ALERT, subject=env.subject,
-                cause=Cause.TRIPLE_LOSS, at=env.sent_at, reporter=env.sender))
-        elif kind is EnvelopeKind.PING and receiver != CMU_ID:
-            st = self.nodes[receiver]
-            if (st.profile.status is NodeStatus.ACTIVE
-                    and self.engine.is_responsive(receiver)):
-                self._post(EnvelopeKind.PONG, receiver, CMU_ID,
-                           detail=env.detail)
-        elif kind is EnvelopeKind.PONG and receiver == CMU_ID:
-            self._on_pong(env)
-        elif kind is EnvelopeKind.DIAGNOSTIC_PROBE and receiver != CMU_ID:
-            self._on_probe(env, receiver)
-        elif kind is EnvelopeKind.ROLE_ASSIGNMENT and receiver != CMU_ID:
-            self._on_role_assignment(env, receiver)
-        elif kind is EnvelopeKind.REMOVAL_NOTICE:
-            self._drop_monitor(receiver, env.subject)
-        elif kind is EnvelopeKind.INFO_MESSAGE:
-            self._on_info(env, receiver)
+        if env.receiver == BROADCAST:
+            receivers = self._broadcast_receivers
+            skip = sender
+        else:
+            receivers = (env.receiver,)
+            skip = None
+        readers = self._readers(env)
+        fields = _detail_fields(env.detail)
+        acting = self._acting_receivers(env, fields)
+        at_cmu = _HANDLERS.get((kind, True))
+        at_node = _HANDLERS.get((kind, False))
+        for receiver in receivers:
+            if receiver == skip or not self._eligible(receiver, env):
+                continue
+            if readers is not None and receiver not in readers:
+                self._notify(Severity.ALERT, Cause.AUTH_FAILURE,
+                             subject=sender, reporter=receiver)
+                continue
+            if acting is not None and receiver not in acting:
+                continue
+            handler = at_cmu if receiver == CMU_ID else at_node
+            if handler is not None:
+                handler(self, env, receiver, fields)
 
-    def _on_role_assignment(self, env: Envelope, receiver: int) -> None:
-        role_name = _detail_field(env.detail, "role")
+    def _readers(self, env: Envelope) -> Optional[Collection[int]]:
+        """Receivers that accept ``env``: None for every receiver, an empty
+        set when the envelope fails a check no receiver can pass."""
+        if env.kind in BOOTSTRAP_KINDS:
+            return None
+        try:
+            security.unwrap(env, self.profile, self.keys)
+        except security.SimError:
+            return frozenset()
+        # handlers run by the receivers of one non-bootstrap envelope never
+        # grant a node, so the sender's standing holds for all of them
+        if env.sender != CMU_ID and env.sender not in self._granted:
+            return frozenset()
+        return security.key_holders(env, self.profile, self.keys)
+
+    def _acting_receivers(self, env: Envelope, fields: dict[str, str]
+                          ) -> Optional[tuple]:
+        """Receivers whose handler can change anything, or None for all.
+
+        A grant acts only at its subject and at the administrator, and a
+        role assignment that names no administrator acts only at its
+        subject; elsewhere their handlers return without effect.
+        """
+        kind = env.kind
+        if kind is EnvelopeKind.AUTHORIZATION_GRANT:
+            return (env.subject, self._admin_id)
+        if (kind is EnvelopeKind.ROLE_ASSIGNMENT
+                and fields.get("role") != Role.ADMINISTRATOR.value
+                and "admin" not in fields):
+            return (env.subject,)
+        return None
+
+    def _on_warning(self, env: Envelope, receiver: int,
+                    fields: dict[str, str]) -> None:
+        self._ingest(Notification(
+            severity=Severity.WARNING, subject=env.subject,
+            cause=Cause.SINGLE_LOSS, at=env.sent_at, reporter=env.sender))
+
+    def _on_alert(self, env: Envelope, receiver: int,
+                  fields: dict[str, str]) -> None:
+        self._ingest(Notification(
+            severity=Severity.ALERT, subject=env.subject,
+            cause=Cause.TRIPLE_LOSS, at=env.sent_at, reporter=env.sender))
+
+    def _on_ping(self, env: Envelope, receiver: int,
+                 fields: dict[str, str]) -> None:
+        st = self.nodes[receiver]
+        if (st.profile.status is NodeStatus.ACTIVE
+                and self.engine.is_responsive(receiver)):
+            self._post(EnvelopeKind.PONG, receiver, CMU_ID, detail=env.detail)
+
+    def _on_role_assignment(self, env: Envelope, receiver: int,
+                            fields: dict[str, str]) -> None:
+        role_name = fields.get("role")
         st = self.nodes[receiver]
         if role_name == Role.ADMINISTRATOR.value and env.subject is not None:
             st.known_admin = env.subject
-        admin_field = _detail_field(env.detail, "admin")
+        admin_field = fields.get("admin")
         if admin_field:
             st.known_admin = int(admin_field)
         if env.subject == receiver:
             self._start_duties(receiver)
 
-    def _on_info(self, env: Envelope, receiver: int) -> None:
+    def _on_removal_notice(self, env: Envelope, receiver: int,
+                           fields: dict[str, str]) -> None:
+        self._drop_monitor(receiver, env.subject)
+
+    def _on_info(self, env: Envelope, receiver: int,
+                 fields: dict[str, str]) -> None:
         detail = env.detail
         subject = env.subject
         if detail == "new-admin":
@@ -1089,9 +1128,35 @@ class Network:
         return list(self._granted)
 
 
-def _detail_field(detail: str, key: str) -> str:
-    for part in detail.split(";"):
-        k, _, v = part.partition("=")
-        if k == key:
-            return v
-    return ""
+def _detail_fields(detail: str) -> dict[str, str]:
+    """``"k=v;k2=v2"`` as a dict; a part without ``=`` maps to ``""``."""
+    if not detail:
+        return {}
+    return dict(part.partition("=")[::2] for part in detail.split(";"))
+
+
+# Delivery handlers by (kind, whether the receiver is the management unit).
+# Each is called as handler(network, envelope, receiver, detail fields).
+_HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
+    (EnvelopeKind.AUTHORIZATION_REQUEST, True): Network._on_auth_request,
+    (EnvelopeKind.AUTH_CHALLENGE, False): Network._on_auth_challenge,
+    (EnvelopeKind.AUTH_RESPONSE, True): Network._on_auth_response,
+    (EnvelopeKind.AUTHORIZATION_GRANT, True): Network._on_auth_grant,
+    (EnvelopeKind.AUTHORIZATION_GRANT, False): Network._on_auth_grant,
+    (EnvelopeKind.KEY_EXCHANGE, True): Network._on_key_exchange,
+    (EnvelopeKind.KEY_EXCHANGE, False): Network._on_key_exchange,
+    (EnvelopeKind.SENSOR_DATA, True): Network._on_monitored_delivery,
+    (EnvelopeKind.SENSOR_DATA, False): Network._on_monitored_delivery,
+    (EnvelopeKind.STATUS_BROADCAST, True): Network._on_monitored_delivery,
+    (EnvelopeKind.STATUS_BROADCAST, False): Network._on_monitored_delivery,
+    (EnvelopeKind.WARNING, True): Network._on_warning,
+    (EnvelopeKind.ALERT, True): Network._on_alert,
+    (EnvelopeKind.PING, False): Network._on_ping,
+    (EnvelopeKind.PONG, True): Network._on_pong,
+    (EnvelopeKind.DIAGNOSTIC_PROBE, False): Network._on_probe,
+    (EnvelopeKind.ROLE_ASSIGNMENT, False): Network._on_role_assignment,
+    (EnvelopeKind.REMOVAL_NOTICE, True): Network._on_removal_notice,
+    (EnvelopeKind.REMOVAL_NOTICE, False): Network._on_removal_notice,
+    (EnvelopeKind.INFO_MESSAGE, True): Network._on_info,
+    (EnvelopeKind.INFO_MESSAGE, False): Network._on_info,
+}

@@ -146,14 +146,15 @@ class KeyRegistry:
         self._root = _digest(b"key-root", seed)
         self.registered_hardware_ids = set(registered_hardware_ids)
         self._sessions: dict[frozenset[int], bytes] = {}
+        self._signing: dict[int, bytes] = {}
         self.group_members: set[int] = {CMU_ID}
+        self.group_key = _digest(self._root, "group")
 
     def signing_key(self, node: int) -> bytes:
-        return _digest(self._root, "sign", node)
-
-    @property
-    def group_key(self) -> bytes:
-        return _digest(self._root, "group")
+        key = self._signing.get(node)
+        if key is None:
+            key = self._signing[node] = _digest(self._root, "sign", node)
+        return key
 
     def provision_member(self, node: int) -> None:
         """Install the broadcast group key on a legitimate member node."""
@@ -215,12 +216,16 @@ def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope
 
 
 def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
-           reader: int) -> bytes:
+           reader: Optional[int] = None) -> bytes:
     """Verify and open a wrapped envelope for ``reader``.
 
     Raises ProfileMismatch when the envelope was wrapped under a different
-    profile, WrongSessionKey when the reader does not hold the sealing key,
-    and TagMismatch when the signature check fails.
+    profile, WrongSessionKey when it names no sealing key or the reader does
+    not hold that key, and TagMismatch when the signature check fails.
+
+    Without a ``reader`` only the checks that every receiver shares run, so
+    a broadcast is verified once; ``key_holders`` then says which of its
+    receivers can open it.
     """
     if env.kind in BOOTSTRAP_KINDS:
         return env.payload
@@ -234,7 +239,8 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
     if profile.kind is ProfileKind.AUTH_ENCAP:
         if env.sealed_key_id is None:
             raise WrongSessionKey("envelope carries no session key id")
-        if reader not in keys.session_holders(env.sealed_key_id):
+        if (reader is not None
+                and reader not in keys.session_holders(env.sealed_key_id)):
             raise WrongSessionKey(
                 f"node {reader} does not hold key {env.sealed_key_id}")
 
@@ -242,6 +248,17 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
     if env.tag != expected:
         raise TagMismatch("signature tag does not verify")
     return env.payload
+
+
+def key_holders(env: Envelope, profile: SecurityProfile,
+                keys: KeyRegistry) -> Optional[set[int]]:
+    """The nodes that can open an envelope that ``unwrap`` verified without
+    a reader: the holders of its sealing key, or None when the profile does
+    not seal it and every receiver can."""
+    if (profile.kind is not ProfileKind.AUTH_ENCAP
+            or env.kind in BOOTSTRAP_KINDS):
+        return None
+    return keys.session_holders(env.sealed_key_id)
 
 
 # ------------------------------------------------------------------ one-time

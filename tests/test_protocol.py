@@ -1,10 +1,14 @@
 """Role logic, loss monitors, succession and the management-unit protocol."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ansim import security
 from ansim.model import (
+    BROADCAST,
     CMU_ID,
     Cause,
     EnvelopeKind,
@@ -26,7 +30,7 @@ from ansim.protocol import (
     record_packet_outcome,
     select_successor,
 )
-from ansim.runner import run_scenario
+from ansim.runner import build_simulation, run_scenario
 from ansim.scenario import (
     FaultEntry,
     LinkOverride,
@@ -377,3 +381,52 @@ def test_no_handshakes_outside_session_profile():
         result = run_scenario(make_cfg(3, profile=profile, duration_ms=61000),
                               with_trace=True)
         assert not any("key_exchange" in line for line in result.trace)
+
+
+# ------------------------------------------------------- broadcast delivery
+
+@pytest.mark.parametrize("profile", ["auth", "auth-encap"])
+def test_tampered_broadcast_fails_at_every_eligible_receiver(profile):
+    cfg = make_cfg(5, profile=profile, duration_ms=20000,
+                   faults=[FaultEntry(target=4, kind="crash", at_ms=10000)])
+    engine, net, _, _ = build_simulation(cfg)
+    engine.run_until(cfg.duration_ms)
+    env = net._make_env(EnvelopeKind.STATUS_BROADCAST, 1, BROADCAST,
+                        subject=None, detail="", length=None)
+    wrapped = security.wrap(env, net.profile, net.keys)
+    tampered = dataclasses.replace(wrapped, tag=bytes(len(wrapped.tag)))
+    before = len(net.notifications)
+    engine.on_deliver(tampered)
+    notes = net.notifications[before:]
+    # the sender and the crashed node 4 hear nothing; the rest fail in order
+    assert [n.reporter for n in notes] == [CMU_ID, 2, 3, 5]
+    assert all(n.cause is Cause.AUTH_FAILURE and n.subject == 1
+               and n.severity is Severity.ALERT for n in notes)
+
+
+def test_signature_tags_computed_once_per_delivered_envelope(monkeypatch):
+    counts = {"tags": 0, "wraps": 0, "deliveries": 0}
+    tag_for, wrap = security._tag_for, security.wrap
+
+    def counting_tag_for(*args):
+        counts["tags"] += 1
+        return tag_for(*args)
+
+    def counting_wrap(*args):
+        counts["wraps"] += 1
+        return wrap(*args)
+
+    monkeypatch.setattr(security, "_tag_for", counting_tag_for)
+    monkeypatch.setattr(security, "wrap", counting_wrap)
+    cfg = make_cfg(50, profile="auth-encap", duration_ms=120000)
+    engine, net, recorder, _ = build_simulation(cfg)
+    deliver = engine.on_deliver
+
+    def counting_deliver(env):
+        counts["deliveries"] += 1
+        deliver(env)
+
+    engine.on_deliver = counting_deliver
+    engine.run_until(cfg.duration_ms)
+    assert recorder.delivered == counts["deliveries"] > 0
+    assert 0 < counts["tags"] <= counts["wraps"] + counts["deliveries"]

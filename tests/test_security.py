@@ -19,7 +19,9 @@ from ansim.security import (
     TotaOutcome,
     TotaState,
     WrongSessionKey,
+    _digest,
     fresh_nonce,
+    key_holders,
     tota_response,
     tota_verify,
     unwrap,
@@ -178,6 +180,27 @@ def test_forged_sender_identity_rejected():
     forged = dataclasses.replace(wrapped, tag=fake_tag)
     with pytest.raises(TagMismatch):
         unwrap(forged, PROFILES["auth"], keys, reader=2)
+
+
+def test_readerless_unwrap_leaves_the_key_check_to_key_holders():
+    keys = fresh_keys()
+    keys.establish(1, 2)
+    sealed = wrap(env_of(), PROFILES["auth-encap"], keys)
+    assert unwrap(sealed, PROFILES["auth-encap"], keys) == sealed.payload
+    assert key_holders(sealed, PROFILES["auth-encap"], keys) == {1, 2}
+    signed = wrap(env_of(), PROFILES["auth"], keys)
+    assert key_holders(signed, PROFILES["auth"], keys) is None
+    with pytest.raises(TagMismatch):
+        unwrap(dataclasses.replace(sealed, tag=flip_bit(sealed.tag, 0)),
+               PROFILES["auth-encap"], keys)
+
+
+def test_memoised_keys_match_a_fresh_derivation():
+    keys = fresh_keys()
+    root = _digest(b"key-root", 11)
+    for node in (CMU_ID, 1, 2, 3, 1, CMU_ID):
+        assert keys.signing_key(node) == _digest(root, "sign", node)
+    assert keys.group_key == _digest(root, "group")
 
 
 # ------------------------------------------------------------------ one-time
