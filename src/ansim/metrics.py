@@ -25,7 +25,9 @@ class Recorder:
     """Accumulates counts and bytes as the kernel reports each send."""
 
     def __init__(self) -> None:
-        self._seen: set[int] = set()
+        # the kernel numbers sends in increasing order, so a sequence number
+        # at or below the last one recorded was already counted
+        self._last_seq: Optional[int] = None
         self.sent = 0
         self.delivered = 0
         self.lost = 0
@@ -35,9 +37,11 @@ class Recorder:
         self.messages_by_category = {c.value: 0 for c in Category}
 
     def record_send(self, seq: int, env: Envelope, delivered: bool) -> None:
-        if seq in self._seen:
-            raise DoubleCount(f"transmission {seq} was already recorded")
-        self._seen.add(seq)
+        if self._last_seq is not None and seq <= self._last_seq:
+            raise DoubleCount(
+                f"transmission {seq} was already recorded (last was "
+                f"{self._last_seq})")
+        self._last_seq = seq
         self.sent += 1
         if delivered:
             self.delivered += 1

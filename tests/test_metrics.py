@@ -47,6 +47,14 @@ def test_double_count_guard():
         rec.record_send(7, env(EnvelopeKind.PING), True)
 
 
+def test_double_count_guard_rejects_an_earlier_seq():
+    rec = Recorder()
+    rec.record_send(7, env(EnvelopeKind.PING), True)
+    with pytest.raises(DoubleCount):
+        rec.record_send(5, env(EnvelopeKind.PING), True)
+    assert rec.sent == 1
+
+
 def run_case1(**kwargs):
     return run_scenario(load_scenario("paper-case1"), **kwargs)
 
