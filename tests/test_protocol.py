@@ -11,6 +11,7 @@ from ansim.model import (
     BROADCAST,
     CMU_ID,
     Cause,
+    Envelope,
     EnvelopeKind,
     NodeProfile,
     NodeStatus,
@@ -391,8 +392,8 @@ def test_tampered_broadcast_fails_at_every_eligible_receiver(profile):
                    faults=[FaultEntry(target=4, kind="crash", at_ms=10000)])
     engine, net, _, _ = build_simulation(cfg)
     engine.run_until(cfg.duration_ms)
-    env = net._make_env(EnvelopeKind.STATUS_BROADCAST, 1, BROADCAST,
-                        subject=None, detail="", length=None)
+    env = Envelope(kind=EnvelopeKind.STATUS_BROADCAST, sender=1,
+                   receiver=BROADCAST, payload=b"status", sent_at=engine.now)
     wrapped = security.wrap(env, net.profile, net.keys)
     tampered = dataclasses.replace(wrapped, tag=bytes(len(wrapped.tag)))
     before = len(net.notifications)
