@@ -4,9 +4,11 @@
 Run this only after an intentional behaviour change, then review the diff.
 The golden trace pins the exact event sequence of one bundled fault
 scenario; golden_digests.json pins the sha256 of the report and trace of
-every bundled scenario under every profile, plus two synthetic networks
-that reach paths the bundled scenarios do not (per-receiver key failures on
-broadcasts, lossy and jittery links at fifty nodes).
+every bundled scenario under every profile, plus synthetic networks that
+reach paths the bundled scenarios do not: per-receiver key failures on
+broadcasts, lossy and jittery links at fifty nodes, administrator failover,
+probing and reentry at 120 nodes, and unregistered nodes among the receivers
+of a lossy 40-node network.
 """
 
 import hashlib
@@ -22,18 +24,37 @@ GOLDEN_SCENARIOS = ("fire-sensor-dropout",)
 DIGESTS_FILE = DATA_DIR / "golden_digests.json"
 
 
-def _synthetic(name: str, n_nodes: int, *, unregistered=(), loss=0.0,
-               jitter_ms=0, duration_ms=600000) -> str:
+def _power(node: int) -> int:
+    return 50 + (37 * node) % 200
+
+
+def _synthetic(name: str, n_nodes: int, *, profile="auth-encap",
+               unregistered=(), loss=0.0, jitter_ms=0, duration_ms=600000,
+               faults=()) -> str:
     nodes = [{"id": i, "hardware_id": 9000 + i,
-              "processing_power": 50 + (37 * i) % 200,
+              "processing_power": _power(i),
               "registered": i not in unregistered}
              for i in range(1, n_nodes + 1)]
     return json.dumps({
         "name": name, "seed": 5, "duration_ms": duration_ms, "nodes": nodes,
         "links": {"latency_ms": 10, "jitter_ms": jitter_ms,
                   "loss_probability": loss},
-        "security": {"profile": "auth-encap"},
+        "security": {"profile": profile},
+        "faults": list(faults),
     })
+
+
+def _failover_faults(n_nodes: int) -> list[dict]:
+    """Crash and later restore the initial administrator, and make one
+    sensor drop its data packets until it too is restored."""
+    admin = max(range(1, n_nodes + 1), key=lambda i: (_power(i), -i))
+    sensor = 1 if admin != 1 else 2
+    return [
+        {"target": admin, "kind": "crash", "at_ms": 60000},
+        {"target": sensor, "kind": "drop_next_n", "at_ms": 90000, "n": 3},
+        {"target": admin, "kind": "restore", "at_ms": 200000},
+        {"target": sensor, "kind": "restore", "at_ms": 250000},
+    ]
 
 
 def digest_cases():
@@ -49,6 +70,17 @@ def digest_cases():
     yield ("lossy-50/auth-encap",
            parse_scenario(_synthetic("lossy-50", 50, loss=0.02,
                                      jitter_ms=5)), None)
+    # pruned bootstrap broadcasts at scale, failover, probes and reentry
+    yield ("failover-120/plain",
+           parse_scenario(_synthetic("failover-120", 120, profile="plain",
+                                     duration_ms=360000,
+                                     faults=_failover_faults(120))), None)
+    # key failures at non-readers interleaved with acting receivers, and
+    # handshake retries over lossy links
+    yield ("unregistered-40/auth-encap",
+           parse_scenario(_synthetic(
+               "unregistered-40", 40, unregistered=set(range(7, 41, 7)),
+               loss=0.02, jitter_ms=5, duration_ms=300000)), None)
 
 
 def run_digest(cfg, profile) -> str:
