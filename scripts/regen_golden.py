@@ -2,6 +2,9 @@
 """Regenerate the golden files under tests/data/.
 
 Run this only after an intentional behaviour change, then review the diff.
+``--check`` recomputes every golden file without writing anything, prints
+each key that no longer matches and exits 1 if there is one, so a change
+meant to keep the output byte-identical can prove it with one command.
 The golden trace pins the exact event sequence of one bundled fault
 scenario; golden_digests.json pins the sha256 of the report and trace of
 every bundled scenario under every profile, plus synthetic networks that
@@ -11,6 +14,7 @@ probing and reentry at 120 nodes, and unregistered nodes among the receivers
 of a lossy 40-node network.
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -97,14 +101,43 @@ def golden_digests() -> dict[str, str]:
             for key, cfg, profile in digest_cases()}
 
 
-def main() -> int:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
+def golden_traces() -> dict[str, str]:
+    """The text of each golden trace file, keyed by file name."""
+    traces = {}
     for name in GOLDEN_SCENARIOS:
-        cfg = load_scenario(name)
-        result = run_scenario(cfg, with_trace=True)
-        path = DATA_DIR / f"{name}.trace"
-        path.write_text("\n".join(result.trace) + "\n", encoding="utf-8")
-        print(f"wrote {path} ({len(result.trace)} lines)")
+        result = run_scenario(load_scenario(name), with_trace=True)
+        traces[f"{name}.trace"] = "\n".join(result.trace) + "\n"
+    return traces
+
+
+def check() -> int:
+    """Recompute every golden file without writing; print each key whose
+    output differs from the pinned one and return 1 if any does."""
+    mismatched = [name for name, text in golden_traces().items()
+                  if (DATA_DIR / name).read_text(encoding="utf-8") != text]
+    pinned = json.loads(DIGESTS_FILE.read_text(encoding="utf-8"))
+    digests = golden_digests()
+    mismatched += [key for key in sorted(pinned.keys() | digests.keys())
+                   if pinned.get(key) != digests.get(key)]
+    for key in mismatched:
+        print(f"mismatch: {key}")
+    print(f"checked {len(GOLDEN_SCENARIOS)} traces and {len(digests)} "
+          f"digests: {len(mismatched)} mismatched")
+    return 1 if mismatched else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the golden files instead of "
+                             "rewriting them; exit 1 on any mismatch")
+    if parser.parse_args(argv).check:
+        return check()
+    DATA_DIR.mkdir(parents=True, exist_ok=True)
+    for name, text in golden_traces().items():
+        path = DATA_DIR / name
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path} ({len(text.splitlines())} lines)")
     digests = golden_digests()
     DIGESTS_FILE.write_text(json.dumps(digests, indent=2) + "\n",
                             encoding="utf-8")

@@ -23,3 +23,33 @@ def test_every_pinned_run_matches_its_digest():
     regen = load_regen()
     pinned = json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8"))
     assert regen.golden_digests() == pinned
+
+
+def test_check_names_each_mismatch_and_writes_nothing(tmp_path, monkeypatch,
+                                                      capsys):
+    regen = load_regen()
+    cases = [case for case in regen.digest_cases()
+             if case[0] in ("paper-case1/plain", "paper-case1/auth")]
+    monkeypatch.setattr(regen, "digest_cases", lambda: iter(cases))
+    digests = regen.golden_digests()
+    trace = (regen.DATA_DIR / "fire-sensor-dropout.trace").read_text(
+        encoding="utf-8")
+    monkeypatch.setattr(regen, "DATA_DIR", tmp_path)
+    monkeypatch.setattr(regen, "DIGESTS_FILE", tmp_path / "digests.json")
+    (tmp_path / "fire-sensor-dropout.trace").write_text(trace,
+                                                        encoding="utf-8")
+    regen.DIGESTS_FILE.write_text(json.dumps(digests), encoding="utf-8")
+    assert regen.main(["--check"]) == 0
+
+    doctored = dict(digests, **{"paper-case1/auth": "0" * 64})
+    regen.DIGESTS_FILE.write_text(json.dumps(doctored), encoding="utf-8")
+    (tmp_path / "fire-sensor-dropout.trace").write_text(trace + "extra\n",
+                                                        encoding="utf-8")
+    capsys.readouterr()
+    assert regen.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert "mismatch: fire-sensor-dropout.trace" in out
+    assert "mismatch: paper-case1/auth" in out
+    assert "paper-case1/plain" not in out
+    assert json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8")) \
+        == doctored
