@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -30,12 +30,14 @@ class UnknownReceiver(SimError):
     pass
 
 
-@dataclass(frozen=True)
+# One of these is built per delivery and per timer, so they are slotted and
+# not frozen: a frozen dataclass sets each field through object.__setattr__.
+@dataclass(slots=True)
 class Deliver:
     env: Envelope
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimerFire:
     owner: int
     tag: str
@@ -68,13 +70,6 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind is FaultKind.DROP_NEXT_N and self.n <= 0:
             raise SimError("drop_next_n fault requires n > 0")
-
-
-@dataclass(frozen=True)
-class Event:
-    at: int
-    seq: int
-    body: object
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,9 @@ class Engine:
         self.recorder = recorder
         self.trace = trace
         self.stats = KernelStats()
-        self._heap: list[tuple[int, int, Event]] = []
+        # (time, sequence number, body); the sequence number is unique, so
+        # bodies are never compared
+        self._heap: list[tuple[int, int, object]] = []
         self._seq = 0
         self._send_seq = 0
         self._known: set[int] = set(node_ids)
@@ -133,45 +130,61 @@ class Engine:
 
     # ---------------------------------------------------------------- queue
 
-    def schedule(self, at: int, body: object) -> Event:
+    def schedule(self, at: int, body: object) -> None:
         if at < self.now:
             raise SchedulingInPast(
                 f"cannot schedule at t={at}, clock is at t={self.now}")
-        ev = Event(at=at, seq=self._seq, body=body)
-        self._seq += 1
-        heapq.heappush(self._heap, (ev.at, ev.seq, ev))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (at, seq, body))
         self.stats.scheduled += 1
-        return ev
 
-    def schedule_timer(self, at: int, owner: int, tag: str, data: int = 0) -> Event:
-        return self.schedule(at, TimerFire(owner=owner, tag=tag, data=data))
+    def schedule_timer(self, at: int, owner: int, tag: str, data: int = 0) -> None:
+        self.schedule(at, TimerFire(owner, tag, data))
 
     def pending(self) -> int:
         return len(self._heap)
 
     def run_until(self, t_end: int) -> None:
-        """Dispatch every event with time <= t_end, then advance the clock."""
-        while self._heap and self._heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(self._heap)
-            self.now = ev.at
-            self._dispatch(ev)
+        """Dispatch every event with time <= t_end, then advance the clock.
+
+        Deliveries and timers, nearly every event, are dispatched inline;
+        ``on_deliver`` and ``on_timer`` are read at each event, so a callback
+        replaced during the run takes effect at the next one.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        trace = self.trace
+        stats = self.stats
+        while heap and heap[0][0] <= t_end:
+            at, seq, body = pop(heap)
+            self.now = at
+            stats.dispatched += 1
+            cls = type(body)
+            if cls is Deliver:
+                env = body.env
+                if trace is not None:
+                    recv = "*" if env.receiver == BROADCAST else env.receiver
+                    trace.append(f"{at}\t{seq}\t{env.kind.value}\t"
+                                 f"{env.sender}\t{recv}\t{env.wire_len}")
+                self.on_deliver(env)
+            elif cls is TimerFire:
+                if trace is not None:
+                    trace.append(
+                        f"{at}\t{seq}\ttimer/{body.tag}\t{body.owner}\t-\t0")
+                self.on_timer(body.owner, body.tag, body.data)
+            else:
+                self._dispatch_fault(at, seq, body)
         if t_end > self.now:
             self.now = t_end
 
-    def _dispatch(self, ev: Event) -> None:
-        self.stats.dispatched += 1
-        body = ev.body
-        if isinstance(body, Deliver):
-            self._trace_deliver(ev, body.env)
-            self.on_deliver(body.env)
-        elif isinstance(body, TimerFire):
-            self._trace_line(ev, f"timer/{body.tag}", body.owner, "-", 0)
-            self.on_timer(body.owner, body.tag, body.data)
-        elif isinstance(body, FaultSpec):
-            self._trace_line(ev, f"fault/{body.kind.value}", body.target, "-", 0)
-            self._apply_fault(body)
-        else:
+    def _dispatch_fault(self, at: int, seq: int, body: object) -> None:
+        if not isinstance(body, FaultSpec):
             raise SimError(f"unknown event body {body!r}")
+        if self.trace is not None:
+            self.trace.append(
+                f"{at}\t{seq}\tfault/{body.kind.value}\t{body.target}\t-\t0")
+        self._apply_fault(body)
 
     # ---------------------------------------------------------------- links
 
@@ -214,7 +227,7 @@ class Engine:
         latency = spec.latency_ms
         if spec.jitter_ms > 0:
             latency += self.rng.randint(0, spec.jitter_ms)
-        self.schedule(self.now + latency, Deliver(env=env))
+        self.schedule(self.now + latency, Deliver(env))
         self._record(seq, env, delivered=True)
         return True
 
@@ -253,15 +266,3 @@ class Engine:
         """A node answers diagnostics only while free of any injected defect."""
         state = self._faults.get(node)
         return state is None or not (state.crashed or state.defect_present)
-
-    # ---------------------------------------------------------------- trace
-
-    def _trace_deliver(self, ev: Event, env: Envelope) -> None:
-        recv = "*" if env.receiver == BROADCAST else str(env.receiver)
-        self._trace_line(ev, env.kind.value, env.sender, recv, env.wire_len)
-
-    def _trace_line(self, ev: Event, kind: str, sender: int,
-                    receiver: str, wire_len: int) -> None:
-        if self.trace is not None:
-            self.trace.append(
-                f"{ev.at}\t{ev.seq}\t{kind}\t{sender}\t{receiver}\t{wire_len}")
