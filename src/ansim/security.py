@@ -18,7 +18,7 @@ cipher suite.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -187,6 +187,15 @@ def _tag_for(env: Envelope, keys: KeyRegistry, sig_len: int) -> bytes:
                    env.receiver, env.payload, env.sent_at, size=sig_len)
 
 
+def _on_wire(env: Envelope, wire_len: int, profile_name: str,
+             tag: Optional[bytes], sealed_key_id: Optional[str]) -> Envelope:
+    """``env`` with its wire fields set. Built positionally because it runs
+    on every send and ``dataclasses.replace`` scans every field."""
+    return Envelope(env.kind, env.sender, env.receiver, env.payload,
+                    env.sent_at, wire_len, env.subject, env.detail,
+                    profile_name, tag, sealed_key_id)
+
+
 def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope:
     """Apply one profile to an envelope, producing the on-wire form.
 
@@ -195,14 +204,13 @@ def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope
     """
     is_boot = env.kind in BOOTSTRAP_KINDS
     wire = profile.wire_len_for(env.payload_len, is_boot)
+    name = profile.kind.value
     if is_boot or profile.kind is ProfileKind.PLAIN:
-        return replace(env, wire_len=wire, profile_name=profile.kind.value,
-                       tag=None, sealed_key_id=None)
+        return _on_wire(env, wire, name, None, None)
 
     tag = _tag_for(env, keys, profile.sig_len)
     if profile.kind is ProfileKind.AUTH:
-        return replace(env, wire_len=wire, profile_name=profile.kind.value,
-                       tag=tag, sealed_key_id=None)
+        return _on_wire(env, wire, name, tag, None)
 
     if env.receiver == BROADCAST:
         key_id = GROUP_KEY_ID
@@ -211,8 +219,7 @@ def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope
             raise NoSessionKey(
                 f"no session key for pair ({env.sender}, {env.receiver})")
         key_id = KeyRegistry.pair_key_id(env.sender, env.receiver)
-    return replace(env, wire_len=wire, profile_name=profile.kind.value,
-                   tag=tag, sealed_key_id=key_id)
+    return _on_wire(env, wire, name, tag, key_id)
 
 
 def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
