@@ -287,6 +287,7 @@ class Network:
 
         # every endpoint a broadcast can reach, in delivery order
         self._broadcast_receivers = tuple(sorted([CMU_ID, *self.nodes]))
+        self._broadcast_set = frozenset(self._broadcast_receivers)
 
         self.notifications: list[Notification] = []
         self.role_changes: list[RoleChange] = []
@@ -315,6 +316,12 @@ class Network:
         self._handshakes: dict[frozenset, _Handshake] = {}
         self._pending_out: dict[tuple[int, int], list[tuple]] = {}
         self._gen = 0
+
+        # timer tag -> (handler, argument); see _FIXED_TIMERS
+        self._timer_routes: dict[str, tuple[Callable, Optional[int]]] = {
+            tag: (handler, None) for tag, handler in _FIXED_TIMERS.items()}
+        self._node_tags: dict[str, dict[int, str]] = {
+            family: {} for family in _NODE_TIMERS}
 
         engine.on_deliver = self._on_deliver
         engine.on_timer = self._on_timer
@@ -406,7 +413,8 @@ class Network:
         self._handshakes[pair] = hs
         self._post(EnvelopeKind.KEY_EXCHANGE, a, b, detail="hs=1")
         self.engine.schedule_timer(
-            self.engine.now + self.timers.rtt_timeout_ms, a, f"hs/{b}", hs.gen)
+            self.engine.now + self.timers.rtt_timeout_ms, a,
+            self._node_tag("hs", b), hs.gen)
 
     def _handshake_retry(self, owner: int, peer: int, gen: int) -> None:
         pair = frozenset((owner, peer))
@@ -426,7 +434,7 @@ class Network:
         self._post(EnvelopeKind.KEY_EXCHANGE, owner, peer, detail="hs=1")
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, owner,
-            f"hs/{peer}", hs.gen)
+            self._node_tag("hs", peer), hs.gen)
 
     def _flush_pending(self, sender: int, receiver: int) -> None:
         for kind, subject, detail, length, payload in self._pending_out.pop(
@@ -600,7 +608,7 @@ class Network:
         self._create_monitor(watcher, watched, EnvelopeKind.SENSOR_DATA,
                              self.timers.sensor_data_period_ms)
 
-    def _on_status_timer(self, node: int, gen: int) -> None:
+    def _on_status_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
         if (gen != st.duty_gen or not st.authorized
                 or st.profile.role is not Role.ADMINISTRATOR
@@ -610,7 +618,7 @@ class Network:
         self.engine.schedule_timer(
             self.engine.now + self.timers.status_period_ms, node, "status", gen)
 
-    def _on_sensor_timer(self, node: int, gen: int) -> None:
+    def _on_sensor_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
         if (gen != st.duty_gen or not st.authorized
                 or not is_lrn(st.profile.role)
@@ -641,7 +649,7 @@ class Network:
     def _arm_monitor(self, ms: MonitorState) -> None:
         ms.gen = self._next_gen()
         self.engine.schedule_timer(ms.next_expected + ms.grace, ms.watcher,
-                                   f"mon/{ms.watched}", ms.gen)
+                                   self._node_tag("mon", ms.watched), ms.gen)
 
     def _drop_monitor(self, watcher: int, watched: int) -> None:
         self._monitor_map(watcher).pop(watched, None)
@@ -751,9 +759,10 @@ class Network:
         gen = self._next_gen()
         self._probing[subject] = gen
         self.engine.schedule_timer(self.engine.now + PROBE_INTERVAL_MS,
-                                   CMU_ID, f"probe/{subject}", gen)
+                                   CMU_ID, self._node_tag("probe", subject),
+                                   gen)
 
-    def _on_probe_timer(self, target: int, gen: int) -> None:
+    def _on_probe_timer(self, _owner: int, target: int, gen: int) -> None:
         if self._probing.get(target) != gen:
             return
         st = self.nodes[target]
@@ -763,7 +772,8 @@ class Network:
         self._post(EnvelopeKind.DIAGNOSTIC_PROBE, CMU_ID, target,
                    detail="probe")
         self.engine.schedule_timer(self.engine.now + PROBE_INTERVAL_MS,
-                                   CMU_ID, f"probe/{target}", gen)
+                                   CMU_ID, self._node_tag("probe", target),
+                                   gen)
 
     def _on_probe(self, env: Envelope, node: int,
                   fields: dict[str, str]) -> None:
@@ -836,7 +846,7 @@ class Network:
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, CMU_ID, "rtt", fo.gen)
 
-    def _on_rtt_timeout(self, gen: int) -> None:
+    def _on_rtt_timeout(self, _owner: int, _arg: None, gen: int) -> None:
         fo = self._failover
         if fo is None or fo.phase != "measure" or fo.gen != gen:
             return
@@ -866,7 +876,7 @@ class Network:
             return
         self._failover_next_tier()
 
-    def _on_confirm_timeout(self, gen: int) -> None:
+    def _on_confirm_timeout(self, _owner: int, _arg: None, gen: int) -> None:
         fo = self._failover
         if fo is None or fo.phase != "confirm" or fo.gen != gen:
             return
@@ -965,19 +975,26 @@ class Network:
         The checks every receiver shares (profile, signature, a granted
         sender) run once per envelope; each eligible receiver that cannot
         open the envelope still logs its own auth failure, in receiver
-        order.
+        order. A broadcast whose handler acts at only a few receivers
+        visits just those and the receivers that must log a failure.
         """
         sender = env.sender
         kind = env.kind
-        if env.receiver == BROADCAST:
-            receivers = self._broadcast_receivers
-            skip = sender
-        else:
-            receivers = (env.receiver,)
-            skip = None
         readers = self._readers(env)
         fields = _detail_fields(env.detail)
         acting = self._acting_receivers(env, fields)
+        if env.receiver != BROADCAST:
+            receivers = (env.receiver,)
+            skip = None
+        else:
+            skip = sender
+            if acting is None:
+                receivers = self._broadcast_receivers
+            else:
+                visit = self._broadcast_set.intersection(acting)
+                if readers is not None:
+                    visit |= self._broadcast_set.difference(readers)
+                receivers = sorted(visit)
         at_cmu = _HANDLERS.get((kind, True))
         at_node = _HANDLERS.get((kind, False))
         for receiver in receivers:
@@ -1088,31 +1105,31 @@ class Network:
     # --------------------------------------------------------------- timers
 
     def _on_timer(self, owner: int, tag: str, data: int) -> None:
-        if tag == "bootstrap":
-            self._bootstrap()
-        elif tag == "inspect":
-            self._maybe_start_round()
-            self.engine.schedule_timer(
-                self.engine.now + self.timers.inspection_period_ms, CMU_ID,
-                "inspect")
-        elif tag == "status":
-            self._on_status_timer(owner, data)
-        elif tag == "sensor":
-            self._on_sensor_timer(owner, data)
-        elif tag.startswith("mon/"):
-            self._on_monitor_deadline(owner, int(tag[4:]), data)
-        elif tag.startswith("probe/"):
-            self._on_probe_timer(int(tag[6:]), data)
-        elif tag == "rtt":
-            self._on_rtt_timeout(data)
-        elif tag == "confirm":
-            self._on_confirm_timeout(data)
-        elif tag.startswith("hs/"):
-            self._handshake_retry(owner, int(tag[3:]), data)
-        elif tag == "authretry":
-            st = self.nodes[owner]
-            if not st.authorized and data < AUTH_MAX_ATTEMPTS:
-                self._send_auth_request(owner, data + 1)
+        handler, arg = self._timer_routes[tag]
+        handler(self, owner, arg, data)
+
+    def _node_tag(self, family: str, node: int) -> str:
+        """The timer tag ``family/node``, formatted and routed on first use;
+        the tag is also the timer's trace label."""
+        tags = self._node_tags[family]
+        tag = tags.get(node)
+        if tag is None:
+            tag = tags[node] = f"{family}/{node}"
+            self._timer_routes[tag] = (_NODE_TIMERS[family], node)
+        return tag
+
+    def _on_bootstrap_timer(self, _owner: int, _arg: None, _data: int) -> None:
+        self._bootstrap()
+
+    def _on_inspect_timer(self, _owner: int, _arg: None, _data: int) -> None:
+        self._maybe_start_round()
+        self.engine.schedule_timer(
+            self.engine.now + self.timers.inspection_period_ms, CMU_ID,
+            "inspect")
+
+    def _on_auth_retry(self, node: int, _arg: None, attempt: int) -> None:
+        if not self.nodes[node].authorized and attempt < AUTH_MAX_ATTEMPTS:
+            self._send_auth_request(node, attempt + 1)
 
     # ------------------------------------------------------------ inspection
 
@@ -1159,4 +1176,23 @@ _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.REMOVAL_NOTICE, False): Network._on_removal_notice,
     (EnvelopeKind.INFO_MESSAGE, True): Network._on_info,
     (EnvelopeKind.INFO_MESSAGE, False): Network._on_info,
+}
+
+
+# Timer handlers, each called as handler(network, owner, argument, data).
+# A fixed tag has no argument. A per-node tag "<family>/<node>" is routed by
+# Network._node_tag when first scheduled, with the node as its argument.
+_FIXED_TIMERS: dict[str, Callable] = {
+    "bootstrap": Network._on_bootstrap_timer,
+    "inspect": Network._on_inspect_timer,
+    "status": Network._on_status_timer,
+    "sensor": Network._on_sensor_timer,
+    "rtt": Network._on_rtt_timeout,
+    "confirm": Network._on_confirm_timeout,
+    "authretry": Network._on_auth_retry,
+}
+_NODE_TIMERS: dict[str, Callable] = {
+    "mon": Network._on_monitor_deadline,
+    "probe": Network._on_probe_timer,
+    "hs": Network._handshake_retry,
 }
