@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import Category, Envelope, Notification, SimError
 from .protocol import RoleChange
@@ -176,24 +176,23 @@ class ComparisonReport:
 
     def to_csv(self) -> str:
         """Per-profile, per-category wire bytes as a flat CSV table."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["profile", "category", "bytes"])
-        for name, run in self.runs.items():
-            for category in Category:
-                writer.writerow([name, category.value,
-                                 run.bytes_by_category[category.value]])
-            writer.writerow([name, "total", run.wire_bytes])
-        return out.getvalue()
+        return _bytes_csv(self.runs.items())
 
 
 def run_report_to_csv(report: RunReport) -> str:
     """Single-run counterpart of ComparisonReport.to_csv."""
+    return _bytes_csv([(report.profile, report)])
+
+
+def _bytes_csv(runs: Iterable[tuple[str, RunReport]]) -> str:
+    """A header, then per named run one row of wire bytes per category and
+    one row with its total."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["profile", "category", "bytes"])
-    for category in Category:
-        writer.writerow([report.profile, category.value,
-                         report.bytes_by_category[category.value]])
-    writer.writerow([report.profile, "total", report.wire_bytes])
+    for name, run in runs:
+        for category in Category:
+            writer.writerow([name, category.value,
+                             run.bytes_by_category[category.value]])
+        writer.writerow([name, "total", run.wire_bytes])
     return out.getvalue()
