@@ -13,6 +13,8 @@ from ansim.kernel import (
     UnknownReceiver,
 )
 from ansim.model import BROADCAST, CMU_ID, Envelope, EnvelopeKind, SimError
+from ansim.runner import build_simulation, run_scenario
+from ansim.scenario import load_scenario
 
 
 def make_engine(seed=1, latency=10, jitter=0, loss=0.0, nodes=(1, 2, 3),
@@ -209,3 +211,49 @@ def test_same_seed_same_schedule_under_loss():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+# ------------------------------------------------- callers that swap hooks
+
+def test_every_schedule_goes_through_the_class_attribute(monkeypatch):
+    # instrumentation swaps Engine.schedule; inlined scheduling would
+    # bypass it
+    calls = 0
+    schedule = Engine.schedule
+
+    def counting_schedule(self, at, body):
+        nonlocal calls
+        calls += 1
+        return schedule(self, at, body)
+
+    monkeypatch.setattr(Engine, "schedule", counting_schedule)
+    result = run_scenario(load_scenario("fire-sensor-dropout"),
+                          profile="auth-encap")
+    assert result.engine.stats.scheduled == calls > 0
+    assert result.engine.stats.dispatched <= calls
+
+
+def test_unknown_event_body_raises():
+    eng = make_engine()
+    eng.schedule(5, object())
+    with pytest.raises(SimError):
+        eng.run_until(10)
+
+
+def test_on_timer_replaced_after_build_receives_every_timer():
+    cfg = load_scenario("admin-failover")
+    engine, _, _, trace = build_simulation(cfg, with_trace=True)
+    fired = []
+    on_timer = engine.on_timer
+
+    def recording(owner, tag, data):
+        fired.append(f"timer/{tag}\t{owner}")
+        on_timer(owner, tag, data)
+
+    engine.on_timer = recording
+    engine.run_until(cfg.duration_ms)
+    timers = ["\t".join(line.split("\t")[2:4]) for line in trace
+              if line.split("\t")[2].startswith("timer/")]
+    assert fired == timers
+    families = {line.split("\t")[0].split("/")[1] for line in fired}
+    assert {"bootstrap", "mon", "probe", "rtt", "confirm"} <= families

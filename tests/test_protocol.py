@@ -23,6 +23,7 @@ from ansim.protocol import (
     DuplicateHardwareId,
     EmptyNetwork,
     MonitorState,
+    Network,
     NoCandidate,
     RoleChange,
     RoleChangeReason,
@@ -431,3 +432,40 @@ def test_signature_tags_computed_once_per_delivered_envelope(monkeypatch):
     engine.run_until(cfg.duration_ms)
     assert recorder.delivered == counts["deliveries"] > 0
     assert 0 < counts["tags"] <= counts["wraps"] + counts["deliveries"]
+
+
+def test_pruned_broadcasts_check_few_receivers(monkeypatch):
+    # grants and role assignments that name no administrator act at one or
+    # two receivers, so the bootstrap must not check every node for each
+    checks = 0
+    eligible = Network._eligible
+
+    def counting_eligible(self, receiver, env):
+        nonlocal checks
+        checks += 1
+        return eligible(self, receiver, env)
+
+    monkeypatch.setattr(Network, "_eligible", counting_eligible)
+    n = 200
+    engine, net, _, _ = build_simulation(make_cfg(n, duration_ms=1000))
+    engine.run_until(1000)
+    assert sorted(net.granted_nodes()) == list(range(1, n + 1))
+    assert 0 < checks <= 10 * n
+
+
+def test_unregistered_receivers_fail_every_bootstrap_role_assignment():
+    n = 30
+    unregistered = [7, 14, 21, 28]
+    # a crashed receiver is not eligible, so it logs nothing
+    cfg = make_cfg(n, profile="auth-encap", duration_ms=1000,
+                   registered=[i not in unregistered for i in range(1, n + 1)],
+                   faults=[FaultEntry(target=21, kind="crash", at_ms=0)])
+    engine, net, _, trace = build_simulation(cfg, with_trace=True)
+    engine.run_until(10)
+    assignments = [line for line in trace
+                   if line.split("\t")[2:5] == ["role_assignment", "0", "*"]]
+    assert len(assignments) == n
+    failures = [note for note in net.notifications
+                if note.cause is Cause.AUTH_FAILURE]
+    assert [note.reporter for note in failures] == [7, 14, 28] * n
+    assert all(note.subject == CMU_ID and note.at == 10 for note in failures)
