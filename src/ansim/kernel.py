@@ -8,8 +8,8 @@ with the same seed and the same call sequence produce byte-identical traces.
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -30,13 +30,9 @@ class UnknownReceiver(SimError):
     pass
 
 
-# One of these is built per delivery and per timer, so they are slotted and
-# not frozen: a frozen dataclass sets each field through object.__setattr__.
-@dataclass(slots=True)
-class Deliver:
-    env: Envelope
-
-
+# One of these is built per timer, so it is slotted and not frozen: a frozen
+# dataclass sets each field through object.__setattr__. A delivery is queued
+# as its Envelope, with no wrapper.
 @dataclass(slots=True)
 class TimerFire:
     owner: int
@@ -105,7 +101,13 @@ class KernelStats:
 
 
 class Engine:
-    """Event loop plus the physical layer (links, faults, randomness)."""
+    """Event loop plus the physical layer (links, faults, randomness).
+
+    The queue is a heap of the distinct pending times plus, per time, a list
+    of its ``(sequence number, body)`` events. Sequence numbers only grow,
+    so each list is already in order, and scheduling at a time that is
+    pending is a dict lookup and a list append.
+    """
 
     def __init__(self, seed: int, links: LinkModel,
                  node_ids: Iterable[int], recorder=None,
@@ -115,11 +117,10 @@ class Engine:
         self.links = links
         self.recorder = recorder
         self.trace = trace
+        # ``scheduled`` doubles as the next event's sequence number
         self.stats = KernelStats()
-        # (time, sequence number, body); the sequence number is unique, so
-        # bodies are never compared
-        self._heap: list[tuple[int, int, object]] = []
-        self._seq = 0
+        self._times: list[int] = []
+        self._buckets: dict[int, list[tuple[int, object]]] = {}
         self._send_seq = 0
         self._known: set[int] = set(node_ids)
         self._faults: dict[int, _NodeFault] = {n: _NodeFault() for n in self._known}
@@ -134,47 +135,70 @@ class Engine:
         if at < self.now:
             raise SchedulingInPast(
                 f"cannot schedule at t={at}, clock is at t={self.now}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (at, seq, body))
-        self.stats.scheduled += 1
+        stats = self.stats
+        seq = stats.scheduled
+        stats.scheduled = seq + 1
+        buckets = self._buckets
+        bucket = buckets.get(at)
+        if bucket is None:
+            buckets[at] = [(seq, body)]
+            heappush(self._times, at)
+        else:
+            bucket.append((seq, body))
 
     def schedule_timer(self, at: int, owner: int, tag: str, data: int = 0) -> None:
         self.schedule(at, TimerFire(owner, tag, data))
 
     def pending(self) -> int:
-        return len(self._heap)
+        stats = self.stats
+        return stats.scheduled - stats.dispatched
 
     def run_until(self, t_end: int) -> None:
         """Dispatch every event with time <= t_end, then advance the clock.
 
         Deliveries and timers, nearly every event, are dispatched inline;
         ``on_deliver`` and ``on_timer`` are read at each event, so a callback
-        replaced during the run takes effect at the next one.
+        replaced during the run takes effect at the next one. An event
+        scheduled at the current time during dispatch joins the end of the
+        list being drained, which is its (time, sequence number) place. If a
+        handler raises, the events dispatched so far are gone and the rest
+        stay queued.
         """
-        heap = self._heap
-        pop = heapq.heappop
+        times = self._times
+        buckets = self._buckets
         trace = self.trace
         stats = self.stats
-        while heap and heap[0][0] <= t_end:
-            at, seq, body = pop(heap)
+        while times and times[0] <= t_end:
+            at = heappop(times)
             self.now = at
-            stats.dispatched += 1
-            cls = type(body)
-            if cls is Deliver:
-                env = body.env
-                if trace is not None:
-                    recv = "*" if env.receiver == BROADCAST else env.receiver
-                    trace.append(f"{at}\t{seq}\t{env.kind.value}\t"
-                                 f"{env.sender}\t{recv}\t{env.wire_len}")
-                self.on_deliver(env)
-            elif cls is TimerFire:
-                if trace is not None:
-                    trace.append(
-                        f"{at}\t{seq}\ttimer/{body.tag}\t{body.owner}\t-\t0")
-                self.on_timer(body.owner, body.tag, body.data)
-            else:
-                self._dispatch_fault(at, seq, body)
+            bucket = buckets[at]
+            first = stats.dispatched
+            try:
+                for seq, body in bucket:
+                    stats.dispatched += 1
+                    cls = type(body)
+                    if cls is Envelope:
+                        if trace is not None:
+                            recv = ("*" if body.receiver == BROADCAST
+                                    else body.receiver)
+                            trace.append(
+                                f"{at}\t{seq}\t{body.kind._value_}\t"
+                                f"{body.sender}\t{recv}\t{body.wire_len}")
+                        self.on_deliver(body)
+                    elif cls is TimerFire:
+                        if trace is not None:
+                            trace.append(f"{at}\t{seq}\ttimer/{body.tag}\t"
+                                         f"{body.owner}\t-\t0")
+                        self.on_timer(body.owner, body.tag, body.data)
+                    else:
+                        self._dispatch_fault(at, seq, body)
+            finally:
+                done = stats.dispatched - first
+                if done < len(bucket):
+                    del bucket[:done]
+                    heappush(times, at)
+                else:
+                    del buckets[at]
         if t_end > self.now:
             self.now = t_end
 
@@ -197,7 +221,7 @@ class Engine:
         """
         if env.receiver != BROADCAST and env.receiver not in self._known:
             raise UnknownReceiver(f"receiver {env.receiver} is not a known node")
-        if env.wire_len < env.payload_len:
+        if env.wire_len < len(env.payload):
             raise SimError("envelope must be wrapped before sending")
 
         fault = self._faults.get(env.sender)
@@ -227,7 +251,7 @@ class Engine:
         latency = spec.latency_ms
         if spec.jitter_ms > 0:
             latency += self.rng.randint(0, spec.jitter_ms)
-        self.schedule(self.now + latency, Deliver(env))
+        self.schedule(self.now + latency, env)
         self._record(seq, env, delivered=True)
         return True
 

@@ -1,6 +1,10 @@
 """Event kernel: ordering, links, loss, faults, trace."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ansim.kernel import (
     Engine,
@@ -235,9 +239,127 @@ def test_every_schedule_goes_through_the_class_attribute(monkeypatch):
 
 def test_unknown_event_body_raises():
     eng = make_engine()
+    fired = []
+    eng.on_timer = lambda owner, tag, data: fired.append(tag)
+    eng.schedule_timer(5, 1, "before")
     eng.schedule(5, object())
+    eng.schedule_timer(5, 1, "after")
     with pytest.raises(SimError):
         eng.run_until(10)
+    assert fired == ["before"]
+    eng.run_until(10)
+    assert fired == ["before", "after"]
+    assert eng.pending() == 0
+
+
+# ------------------------------------------------------------ event queue
+
+# A queue program: event times scheduled up front; per event id, the delays
+# (from its own time) of the events its handler schedules; the run_until
+# stops; and, before each stop, delays (from the clock) of events scheduled
+# from outside the loop. Ids are handed out in scheduling order, so an
+# event's id is its sequence number.
+queue_programs = st.tuples(
+    st.lists(st.integers(0, 30), max_size=25),
+    st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=40),
+    st.lists(st.integers(0, 60), min_size=1, max_size=6).map(sorted),
+    st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=6,
+             max_size=6),
+)
+SPAWNING_IDS = 100
+
+
+def spawned(children, event_id):
+    if event_id >= SPAWNING_IDS or not children:
+        return []
+    return children[event_id % len(children)]
+
+
+def reference_queue(program):
+    """The dispatch order and the pending count after each stop, from a
+    heap of (time, id) pairs."""
+    initial, children, stops, between = program
+    heap, order, pending, now = [], [], [], 0
+
+    def push(at):
+        heapq.heappush(heap, (at, push.next_id))
+        push.next_id += 1
+    push.next_id = 0
+
+    for at in initial:
+        push(at)
+    for stop, outside in zip(stops, between):
+        for delay in outside:
+            push(now + delay)
+        while heap and heap[0][0] <= stop:
+            now, event_id = heapq.heappop(heap)
+            order.append((now, event_id))
+            for delay in spawned(children, event_id):
+                push(now + delay)
+        now = max(now, stop)
+        pending.append(len(heap))
+    return order, pending
+
+
+@settings(max_examples=300, deadline=None)
+@given(queue_programs)
+def test_queue_dispatches_in_time_then_sequence_order(program):
+    initial, children, stops, between = program
+    trace = []
+    eng = make_engine(trace=trace)
+    order, pending = [], []
+    next_id = 0
+
+    def schedule(at):
+        nonlocal next_id
+        eng.schedule_timer(at, 1, "q", next_id)
+        next_id += 1
+
+    def on_timer(owner, tag, event_id):
+        order.append((eng.now, event_id))
+        for delay in spawned(children, event_id):
+            schedule(eng.now + delay)
+
+    eng.on_timer = on_timer
+    for at in initial:
+        schedule(at)
+    for stop, outside in zip(stops, between):
+        for delay in outside:
+            schedule(eng.now + delay)
+        eng.run_until(stop)
+        pending.append(eng.pending())
+        assert eng.pending() == (eng.stats.scheduled
+                                 - eng.stats.dispatched)
+    assert (order, pending) == reference_queue(program)
+    assert [int(line.split("\t")[1]) for line in trace] == [
+        event_id for _, event_id in order]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_handler_raising_mid_bucket_leaves_the_rest_queued_once(k):
+    eng = make_engine()
+    fired = []
+
+    def on_timer(owner, tag, data):
+        fired.append((eng.now, tag))
+        if tag == f"e{k}" and fired.count((eng.now, tag)) == 1:
+            # scheduled before the raise, so it must survive it
+            eng.schedule_timer(eng.now, 1, "late")
+            raise RuntimeError("handler failed")
+
+    eng.on_timer = on_timer
+    for i in range(1, 6):
+        eng.schedule_timer(10, 1, f"e{i}")
+    eng.schedule_timer(20, 1, "next")
+    with pytest.raises(RuntimeError):
+        eng.run_until(30)
+    assert fired == [(10, f"e{i}") for i in range(1, k + 1)]
+    assert eng.pending() == 7 - k
+    eng.run_until(30)
+    assert fired == ([(10, f"e{i}") for i in range(1, 6)]
+                     + [(10, "late"), (20, "next")])
+    assert eng.stats.dispatched == eng.stats.scheduled == 7
+    assert eng.pending() == 0 and eng.now == 30
 
 
 def test_on_timer_replaced_after_build_receives_every_timer():
