@@ -13,8 +13,11 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .model import Category, Envelope, Notification, SimError
+from .model import CATEGORY_BY_KIND, Category, Envelope, Notification, SimError
 from .protocol import RoleChange
+
+# The report name of each kind's category, looked up once per send.
+_CATEGORY_NAME = {kind: cat._value_ for kind, cat in CATEGORY_BY_KIND.items()}
 
 
 class DoubleCount(SimError):
@@ -47,10 +50,11 @@ class Recorder:
             self.delivered += 1
         else:
             self.lost += 1
-        self.payload_bytes += env.payload_len
-        self.wire_bytes += env.wire_len
-        cat = env.category.value
-        self.bytes_by_category[cat] += env.wire_len
+        wire = env.wire_len
+        self.payload_bytes += len(env.payload)
+        self.wire_bytes += wire
+        cat = _CATEGORY_NAME[env.kind]
+        self.bytes_by_category[cat] += wire
         self.messages_by_category[cat] += 1
 
 

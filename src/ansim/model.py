@@ -7,7 +7,7 @@ this module only defines what those modules exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 # The management unit is a distinguished endpoint with reserved id 0. It is
@@ -22,7 +22,16 @@ class SimError(Exception):
     """Base class for every error raised by the simulator."""
 
 
-class Role(Enum):
+class IdentityHashEnum(Enum):
+    """An Enum hashed by identity in C rather than by ``hash(self._name_)``
+    in Python. Members are singletons, so equality is unchanged, and a
+    name's hash already varies with PYTHONHASHSEED, so no output can depend
+    on either hash. Used for the enums that key hot-path dicts and sets."""
+
+    __hash__ = object.__hash__
+
+
+class Role(IdentityHashEnum):
     CMU = "cmu"
     ADMINISTRATOR = "administrator"
     POLICY_APPLIER = "policy_applier"
@@ -75,7 +84,7 @@ def is_lrn(role: Role) -> bool:
     return role in _LRN_ROLES
 
 
-class NodeStatus(Enum):
+class NodeStatus(IdentityHashEnum):
     ACTIVE = "active"
     REMOVED = "removed"
     REENTERING = "reentering"
@@ -109,7 +118,7 @@ class NodeProfile:
         return replace(self, status=status)
 
 
-class EnvelopeKind(Enum):
+class EnvelopeKind(IdentityHashEnum):
     STATUS_BROADCAST = "status_broadcast"
     SENSOR_DATA = "sensor_data"
     PING = "ping"
@@ -127,7 +136,7 @@ class EnvelopeKind(Enum):
     AUTHORIZATION_GRANT = "authorization_grant"
 
 
-class Category(Enum):
+class Category(IdentityHashEnum):
     CONTROL = "control"
     DATA = "data"
     SECURITY = "security"
@@ -186,7 +195,13 @@ SUBJECT_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+# ``init=False``: the generated frozen ``__init__`` sets each field through
+# object.__setattr__, and two envelopes are built per send. The one below
+# writes the instance dict in one update. ``__eq__``, ``__hash__``,
+# ``__repr__`` and the raising ``__setattr__`` are still generated, and
+# ``dataclasses.replace`` goes through this ``__init__``, subject check
+# included.
+@dataclass(frozen=True, init=False)
 class Envelope:
     """One message on the wire.
 
@@ -210,9 +225,18 @@ class Envelope:
     tag: bytes | None = None
     sealed_key_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind in SUBJECT_KINDS and self.subject is None:
-            raise SimError(f"{self.kind.value} envelope requires a subject")
+    def __init__(self, kind: EnvelopeKind, sender: int, receiver: int,
+                 payload: bytes, sent_at: int, wire_len: int = -1,
+                 subject: int | None = None, detail: str = "",
+                 profile_name: str = "", tag: bytes | None = None,
+                 sealed_key_id: str | None = None) -> None:
+        if subject is None and kind in SUBJECT_KINDS:
+            raise SimError(f"{kind._value_} envelope requires a subject")
+        self.__dict__.update(
+            kind=kind, sender=sender, receiver=receiver, payload=payload,
+            sent_at=sent_at, wire_len=wire_len, subject=subject,
+            detail=detail, profile_name=profile_name, tag=tag,
+            sealed_key_id=sealed_key_id)
 
     @property
     def payload_len(self) -> int:
@@ -222,26 +246,22 @@ class Envelope:
     def is_broadcast(self) -> bool:
         return self.receiver == BROADCAST
 
-    @property
-    def category(self) -> Category:
-        return CATEGORY_BY_KIND[self.kind]
-
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:
     """Deterministic filler payload of exactly ``length`` bytes."""
-    head = f"{kind.value}|{sender}|{at}|".encode()
+    head = f"{kind._value_}|{sender}|{at}|".encode()
     if len(head) >= length:
         return head[:length]
     return head + bytes(length - len(head))
 
 
-class Severity(Enum):
+class Severity(IdentityHashEnum):
     WARNING = "warning"
     ALERT = "alert"
     INFO = "info"
 
 
-class Cause(Enum):
+class Cause(IdentityHashEnum):
     SINGLE_LOSS = "single_loss"
     TRIPLE_LOSS = "triple_loss"
     REMOVAL = "removal"

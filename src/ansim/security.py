@@ -27,6 +27,7 @@ from .model import (
     BROADCAST,
     CMU_ID,
     Envelope,
+    IdentityHashEnum,
     SimError,
 )
 
@@ -55,7 +56,7 @@ class HandshakeTimeout(SimError):
     pass
 
 
-class ProfileKind(Enum):
+class ProfileKind(IdentityHashEnum):
     PLAIN = "plain"
     AUTH = "auth"
     AUTH_ENCAP = "auth-encap"
@@ -183,7 +184,7 @@ class KeyRegistry:
 
 
 def _tag_for(env: Envelope, keys: KeyRegistry, sig_len: int) -> bytes:
-    return _digest(keys.signing_key(env.sender), env.kind.value, env.sender,
+    return _digest(keys.signing_key(env.sender), env.kind._value_, env.sender,
                    env.receiver, env.payload, env.sent_at, size=sig_len)
 
 
@@ -203,8 +204,8 @@ def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope
     securing machinery itself and go out at payload length in every profile.
     """
     is_boot = env.kind in BOOTSTRAP_KINDS
-    wire = profile.wire_len_for(env.payload_len, is_boot)
-    name = profile.kind.value
+    wire = profile.wire_len_for(len(env.payload), is_boot)
+    name = profile.kind._value_
     if is_boot or profile.kind is ProfileKind.PLAIN:
         return _on_wire(env, wire, name, None, None)
 
@@ -236,7 +237,7 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
     """
     if env.kind in BOOTSTRAP_KINDS:
         return env.payload
-    if env.profile_name != profile.kind.value:
+    if env.profile_name != profile.kind._value_:
         raise ProfileMismatch(
             f"envelope wrapped as {env.profile_name or 'unwrapped'}, "
             f"expected {profile.kind.value}")

@@ -6,7 +6,12 @@ also rewrites the file after an intentional behaviour change.
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -23,6 +28,39 @@ def test_every_pinned_run_matches_its_digest():
     regen = load_regen()
     pinned = json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8"))
     assert regen.golden_digests() == pinned
+
+
+# Prints the digest of fire-sensor-dropout under each profile as JSON.
+DIGEST_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("regen_golden", sys.argv[1])
+regen = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(regen)
+cases = [case for case in regen.digest_cases()
+         if case[0].startswith("fire-sensor-dropout/")]
+print(json.dumps({key: regen.run_digest(cfg, profile)
+                  for key, cfg, profile in cases}))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    # enums hash by identity and strings by PYTHONHASHSEED; neither may
+    # reach a report or a trace
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", DIGEST_CHILD,
+         str(ROOT / "scripts" / "regen_golden.py")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    got = json.loads(out.stdout)
+    pinned = json.loads((ROOT / "tests" / "data" / "golden_digests.json")
+                        .read_text(encoding="utf-8"))
+    assert sorted(got) == [f"fire-sensor-dropout/{p}"
+                           for p in ("auth", "auth-encap", "plain")]
+    assert got == {key: pinned[key] for key in got}
 
 
 def test_check_names_each_mismatch_and_writes_nothing(tmp_path, monkeypatch,

@@ -1,5 +1,7 @@
 """Core vocabulary: roles, envelopes, notifications."""
 
+import dataclasses
+
 import pytest
 
 from ansim.model import (
@@ -16,6 +18,7 @@ from ansim.model import (
     NodeStatus,
     Role,
     Severity,
+    SUBJECT_KINDS,
     SimError,
     compare_rank,
     is_hrn,
@@ -112,6 +115,43 @@ def test_envelope_subject_requirement():
     bc = Envelope(kind=EnvelopeKind.STATUS_BROADCAST, sender=1,
                   receiver=BROADCAST, payload=b"y" * 8, sent_at=0)
     assert bc.is_broadcast
+
+
+def test_envelope_is_immutable_and_replace_rechecks_the_subject():
+    env = Envelope(kind=EnvelopeKind.ALERT, sender=2, receiver=CMU_ID,
+                   payload=b"a" * 32, sent_at=7, subject=5)
+    for name, value in (("wire_len", 99), ("subject", None),
+                        ("kind", EnvelopeKind.PING), ("extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(env, name, value)
+    assert env.wire_len == -1 and env.subject == 5
+
+    wired = dataclasses.replace(env, wire_len=72, profile_name="auth",
+                                tag=b"t" * 40)
+    assert (wired.wire_len, wired.profile_name, wired.tag) == (
+        72, "auth", b"t" * 40)
+    assert dataclasses.astuple(wired)[:5] == dataclasses.astuple(env)[:5]
+    assert wired == dataclasses.replace(env, wire_len=72,
+                                        profile_name="auth", tag=b"t" * 40)
+    assert hash(wired) == hash(dataclasses.replace(wired))
+    with pytest.raises(SimError):
+        dataclasses.replace(env, subject=None)
+
+
+def test_every_subject_kind_requires_a_subject():
+    for kind in SUBJECT_KINDS:
+        with pytest.raises(SimError, match=kind.value):
+            Envelope(kind, 1, CMU_ID, b"x", 0)
+        assert Envelope(kind, 1, CMU_ID, b"x", 0, subject=0).subject == 0
+    for kind in set(EnvelopeKind) - SUBJECT_KINDS:
+        assert Envelope(kind, 1, CMU_ID, b"x", 0).subject is None
+
+
+def test_hot_path_enums_hash_by_identity():
+    from ansim.security import ProfileKind
+    for enum in (EnvelopeKind, Category, ProfileKind, Role, NodeStatus,
+                 Severity, Cause):
+        assert enum.__hash__ is object.__hash__
 
 
 def test_make_payload_deterministic():
