@@ -10,8 +10,9 @@ scenario; golden_digests.json pins the sha256 of the report and trace of
 every bundled scenario under every profile, plus synthetic networks that
 reach paths the bundled scenarios do not: per-receiver key failures on
 broadcasts, lossy and jittery links at fifty nodes, administrator failover,
-probing and reentry at 120 nodes, and unregistered nodes among the receivers
-of a lossy 40-node network.
+probing and reentry at 120 nodes, unregistered nodes among the receivers
+of a lossy 40-node network, and signature tags longer than one blake2b
+digest.
 """
 
 import argparse
@@ -34,7 +35,10 @@ def _power(node: int) -> int:
 
 def _synthetic(name: str, n_nodes: int, *, profile="auth-encap",
                unregistered=(), loss=0.0, jitter_ms=0, duration_ms=600000,
-               faults=()) -> str:
+               faults=(), sig_len=None) -> str:
+    security = {"profile": profile}
+    if sig_len is not None:
+        security["sig_len"] = sig_len
     nodes = [{"id": i, "hardware_id": 9000 + i,
               "processing_power": _power(i),
               "registered": i not in unregistered}
@@ -43,7 +47,7 @@ def _synthetic(name: str, n_nodes: int, *, profile="auth-encap",
         "name": name, "seed": 5, "duration_ms": duration_ms, "nodes": nodes,
         "links": {"latency_ms": 10, "jitter_ms": jitter_ms,
                   "loss_probability": loss},
-        "security": {"profile": profile},
+        "security": security,
         "faults": list(faults),
     })
 
@@ -85,6 +89,11 @@ def digest_cases():
            parse_scenario(_synthetic(
                "unregistered-40", 40, unregistered=set(range(7, 41, 7)),
                loss=0.02, jitter_ms=5, duration_ms=300000)), None)
+    # tags past 64 bytes take the digest extension path on sign and verify;
+    # a disagreement between the two shows as auth failures
+    yield ("sig72-7/auth",
+           parse_scenario(_synthetic("sig72-7", 7, profile="auth",
+                                     sig_len=72)), None)
 
 
 def run_digest(cfg, profile) -> str:
