@@ -30,16 +30,6 @@ class UnknownReceiver(SimError):
     pass
 
 
-# One of these is built per timer, so it is slotted and not frozen: a frozen
-# dataclass sets each field through object.__setattr__. A delivery is queued
-# as its Envelope, with no wrapper.
-@dataclass(slots=True)
-class TimerFire:
-    owner: int
-    tag: str
-    data: int = 0
-
-
 class FaultKind(Enum):
     DROP_NEXT_N = "drop_next_n"
     CRASH = "crash"
@@ -106,7 +96,9 @@ class Engine:
     The queue is a heap of the distinct pending times plus, per time, a list
     of its ``(sequence number, body)`` events. Sequence numbers only grow,
     so each list is already in order, and scheduling at a time that is
-    pending is a dict lookup and a list append.
+    pending is a dict lookup and a list append. A delivery's body is its
+    Envelope, a timer's the tuple ``(owner, tag, data)`` and a fault's its
+    FaultSpec.
     """
 
     def __init__(self, seed: int, links: LinkModel,
@@ -147,7 +139,7 @@ class Engine:
             bucket.append((seq, body))
 
     def schedule_timer(self, at: int, owner: int, tag: str, data: int = 0) -> None:
-        self.schedule(at, TimerFire(owner, tag, data))
+        self.schedule(at, (owner, tag, data))
 
     def pending(self) -> int:
         stats = self.stats
@@ -185,11 +177,12 @@ class Engine:
                                 f"{at}\t{seq}\t{body.kind._value_}\t"
                                 f"{body.sender}\t{recv}\t{body.wire_len}")
                         self.on_deliver(body)
-                    elif cls is TimerFire:
+                    elif cls is tuple and len(body) == 3:
+                        owner, tag, data = body
                         if trace is not None:
-                            trace.append(f"{at}\t{seq}\ttimer/{body.tag}\t"
-                                         f"{body.owner}\t-\t0")
-                        self.on_timer(body.owner, body.tag, body.data)
+                            trace.append(f"{at}\t{seq}\ttimer/{tag}\t"
+                                         f"{owner}\t-\t0")
+                        self.on_timer(owner, tag, data)
                     else:
                         self._dispatch_fault(at, seq, body)
             finally:

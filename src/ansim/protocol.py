@@ -108,6 +108,8 @@ class MonitorState:
     alerted_for_current_streak: bool = False
     last_outcome_at: int = -1
     gen: int = 0
+    # the deadline timer's tag, "mon/<watched>"
+    tag: str = ""
 
 
 def record_packet_outcome(ms: MonitorState, delivered: bool,
@@ -313,7 +315,8 @@ class Network:
         self._supervising = False
         self._cmu_monitors: dict[int, MonitorState] = {}
 
-        self._handshakes: dict[frozenset, _Handshake] = {}
+        # open and finished handshakes by ordered pair (low, high)
+        self._handshakes: dict[tuple[int, int], _Handshake] = {}
         self._pending_out: dict[tuple[int, int], list[tuple]] = {}
         self._gen = 0
 
@@ -375,8 +378,8 @@ class Network:
         """Build one envelope, wrap it under the active profile and transmit
         it, deferring behind a session handshake when one is required."""
         if self._session_required(kind, receiver):
-            pair = frozenset((sender, receiver))
-            hs = self._handshakes.get(pair)
+            hs = self._handshakes.get(
+                (sender, receiver) if sender < receiver else (receiver, sender))
             if (hs is not None and not hs.done) or not self.keys.has_session(
                     sender, receiver):
                 self._pending_out.setdefault((sender, receiver), []).append(
@@ -404,7 +407,7 @@ class Network:
     # ----------------------------------------------------------- handshakes
 
     def _ensure_handshake(self, a: int, b: int) -> None:
-        pair = frozenset((a, b))
+        pair = (a, b) if a < b else (b, a)
         if pair in self._handshakes and not self._handshakes[pair].done:
             return
         if self.keys.has_session(a, b):
@@ -417,7 +420,7 @@ class Network:
             self._node_tag("hs", b), hs.gen)
 
     def _handshake_retry(self, owner: int, peer: int, gen: int) -> None:
-        pair = frozenset((owner, peer))
+        pair = (owner, peer) if owner < peer else (peer, owner)
         hs = self._handshakes.get(pair)
         if hs is None or hs.done or hs.gen != gen:
             return
@@ -446,14 +449,14 @@ class Network:
                          fields: dict[str, str]) -> None:
         step = fields.get("hs")
         other = env.sender
-        pair = frozenset((receiver, other))
         if step == "1":
             self.keys.establish(receiver, other)
             self._post(EnvelopeKind.KEY_EXCHANGE, receiver, other, detail="hs=2")
             self._flush_pending(receiver, other)
         elif step == "2":
             self.keys.establish(receiver, other)
-            hs = self._handshakes.get(pair)
+            hs = self._handshakes.get(
+                (receiver, other) if receiver < other else (other, receiver))
             if hs is not None and hs.initiator == receiver:
                 hs.done = True
                 hs.gen = self._next_gen()
@@ -642,21 +645,25 @@ class Network:
                         period: int) -> None:
         ms = MonitorState(watcher=watcher, watched=watched, kind=kind,
                           period=period, grace=period // 4,
-                          next_expected=self.engine.now + period)
+                          next_expected=self.engine.now + period,
+                          tag=self._node_tag("mon", watched))
         self._monitor_map(watcher)[watched] = ms
         self._arm_monitor(ms)
 
     def _arm_monitor(self, ms: MonitorState) -> None:
-        ms.gen = self._next_gen()
+        gen = self._gen = self._gen + 1
+        ms.gen = gen
         self.engine.schedule_timer(ms.next_expected + ms.grace, ms.watcher,
-                                   self._node_tag("mon", ms.watched), ms.gen)
+                                   ms.tag, gen)
 
     def _drop_monitor(self, watcher: int, watched: int) -> None:
         self._monitor_map(watcher).pop(watched, None)
 
     def _on_monitored_delivery(self, env: Envelope, watcher: int,
                                fields: dict[str, str]) -> None:
-        ms = self._monitor_map(watcher).get(env.sender)
+        monitors = (self._cmu_monitors if watcher == CMU_ID
+                    else self.nodes[watcher].monitors)
+        ms = monitors.get(env.sender)
         if ms is None or ms.kind is not env.kind:
             return
         record_packet_outcome(ms, delivered=True, at=self.engine.now)
@@ -664,12 +671,15 @@ class Network:
         self._arm_monitor(ms)
 
     def _on_monitor_deadline(self, watcher: int, watched: int, gen: int) -> None:
-        ms = self._monitor_map(watcher).get(watched)
-        if ms is None or ms.gen != gen:
-            return
-        if watcher != CMU_ID:
+        if watcher == CMU_ID:
+            ms = self._cmu_monitors.get(watched)
+            if ms is None or ms.gen != gen:
+                return
+        else:
             wst = self.nodes[watcher]
-            if (wst.profile.status is not NodeStatus.ACTIVE
+            ms = wst.monitors.get(watched)
+            if (ms is None or ms.gen != gen
+                    or wst.profile.status is not NodeStatus.ACTIVE
                     or self.engine.is_crashed(watcher)):
                 return
         notes = record_packet_outcome(ms, delivered=False, at=self.engine.now)

@@ -17,16 +17,18 @@ cipher suite.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Collection, Optional
 
 from .model import (
     BOOTSTRAP_KINDS,
     BROADCAST,
     CMU_ID,
     Envelope,
+    EnvelopeKind,
     IdentityHashEnum,
     SimError,
 )
@@ -120,16 +122,36 @@ class SecurityProfile:
         return payload_len + self.sig_len + self.encap_overhead
 
 
-def _digest(key: bytes, *parts: object, size: int = 32) -> bytes:
-    h = hashlib.blake2b(key=key, digest_size=min(size, 64))
-    for part in parts:
-        raw = part if isinstance(part, bytes) else str(part).encode()
-        h.update(len(raw).to_bytes(4, "big"))
-        h.update(raw)
-    out = h.digest()
+def _frame(part: object) -> bytes:
+    """One digest input: its bytes (an int or str as its decimal or UTF-8
+    text) after a 4-byte big-endian length."""
+    raw = part if isinstance(part, bytes) else str(part).encode()
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _stretch(out: bytes, size: int) -> bytes:
+    """A digest cut or extended to ``size`` bytes; past blake2b's 64 each
+    further 64 bytes hash the output so far."""
     while len(out) < size:
         out += hashlib.blake2b(out, digest_size=64).digest()
     return out[:size]
+
+
+def _digest(key: bytes, *parts: object, size: int = 32) -> bytes:
+    h = hashlib.blake2b(key=key, digest_size=min(size, 64))
+    h.update(b"".join(map(_frame, parts)))
+    return _stretch(h.digest(), size)
+
+
+class _FrameTable(dict):
+    """Framed digest input per node id, built on first use."""
+
+    def __missing__(self, node: int) -> bytes:
+        frame = self[node] = _frame(node)
+        return frame
+
+
+_KIND_FRAMES = {kind: _frame(kind._value_) for kind in EnvelopeKind}
 
 
 GROUP_KEY_ID = "group"
@@ -141,13 +163,24 @@ class KeyRegistry:
     Per-node signing keys and the broadcast group key are provisioned at
     deployment time (derived from the run seed); pair session keys appear
     only once the in-band handshake for that pair completes.
+
+    Tags are hashed from copies of a keyed state built once per signing key
+    and tag size. Sessions are keyed by the ordered pair ``(low, high)``;
+    a pair's sealing-key id and holder set are built when it is
+    established.
     """
 
     def __init__(self, seed: int, registered_hardware_ids: set[int]):
         self._root = _digest(b"key-root", seed)
         self.registered_hardware_ids = set(registered_hardware_ids)
-        self._sessions: dict[frozenset[int], bytes] = {}
+        # ordered pair -> its sealing-key id; sealing-key id -> both ends
+        self._sessions: dict[tuple[int, int], str] = {}
+        self._pair_holders: dict[str, frozenset[int]] = {}
         self._signing: dict[int, bytes] = {}
+        # tag size -> node -> keyed state, only ever copied
+        self._signers: dict[int, dict[int, object]] = {}
+        # node id -> its framed tag input
+        self.id_frames = _FrameTable()
         self.group_members: set[int] = {CMU_ID}
         self.group_key = _digest(self._root, "group")
 
@@ -157,6 +190,18 @@ class KeyRegistry:
             key = self._signing[node] = _digest(self._root, "sign", node)
         return key
 
+    def signer(self, node: int, size: int):
+        """A blake2b state keyed with ``node``'s signing key for tags of
+        ``size`` bytes. Hash a copy: the state is shared by every tag."""
+        try:
+            return self._signers[size][node]
+        except KeyError:
+            pass
+        state = hashlib.blake2b(key=self.signing_key(node),
+                                digest_size=min(size, 64))
+        self._signers.setdefault(size, {})[node] = state
+        return state
+
     def provision_member(self, node: int) -> None:
         """Install the broadcast group key on a legitimate member node."""
         self.group_members.add(node)
@@ -165,27 +210,42 @@ class KeyRegistry:
         return _digest(self._root, "pair", min(a, b), max(a, b))
 
     def has_session(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self._sessions
+        return ((a, b) if a < b else (b, a)) in self._sessions
+
+    def sealing_key_id(self, a: int, b: int) -> Optional[str]:
+        """The id ``"low:high"`` of the pair's session key, or None before
+        the pair has a session."""
+        return self._sessions.get((a, b) if a < b else (b, a))
 
     def establish(self, a: int, b: int) -> bytes:
-        key = self.pair_key(a, b)
-        self._sessions[frozenset((a, b))] = key
-        return key
+        pair = (a, b) if a < b else (b, a)
+        if pair not in self._sessions:
+            key_id = self._sessions[pair] = f"{pair[0]}:{pair[1]}"
+            self._pair_holders[key_id] = frozenset(pair)
+        return self.pair_key(a, b)
 
-    def session_holders(self, key_id: str) -> set[int]:
+    def session_holders(self, key_id: str) -> Collection[int]:
+        """The nodes that hold a sealing key: the live group membership for
+        the group key, both ends for an established pair, and nobody for
+        any other id."""
         if key_id == GROUP_KEY_ID:
             return self.group_members
-        a, _, b = key_id.partition(":")
-        return {int(a), int(b)}
-
-    @staticmethod
-    def pair_key_id(a: int, b: int) -> str:
-        return f"{min(a, b)}:{max(a, b)}"
+        return self._pair_holders.get(key_id, frozenset())
 
 
 def _tag_for(env: Envelope, keys: KeyRegistry, sig_len: int) -> bytes:
-    return _digest(keys.signing_key(env.sender), env.kind._value_, env.sender,
-                   env.receiver, env.payload, env.sent_at, size=sig_len)
+    """The signature tag: the bytes of ``_digest(keys.signing_key(sender),
+    kind, sender, receiver, payload, sent_at, size=sig_len)``, hashed as one
+    buffer by a copy of the sender's keyed state."""
+    h = keys.signer(env.sender, sig_len).copy()
+    ids = keys.id_frames
+    payload = env.payload
+    sent_at = str(env.sent_at).encode()
+    h.update(b"".join((_KIND_FRAMES[env.kind], ids[env.sender],
+                       ids[env.receiver], len(payload).to_bytes(4, "big"),
+                       payload, len(sent_at).to_bytes(4, "big"), sent_at)))
+    tag = h.digest()
+    return tag if sig_len <= 64 else _stretch(tag, sig_len)
 
 
 def _on_wire(env: Envelope, wire_len: int, profile_name: str,
@@ -216,10 +276,10 @@ def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope
     if env.receiver == BROADCAST:
         key_id = GROUP_KEY_ID
     else:
-        if not keys.has_session(env.sender, env.receiver):
+        key_id = keys.sealing_key_id(env.sender, env.receiver)
+        if key_id is None:
             raise NoSessionKey(
                 f"no session key for pair ({env.sender}, {env.receiver})")
-        key_id = KeyRegistry.pair_key_id(env.sender, env.receiver)
     return _on_wire(env, wire, name, tag, key_id)
 
 
@@ -301,9 +361,23 @@ class TotaState:
         return at // self.time_step_ms
 
 
+@functools.lru_cache(maxsize=8)
+def _tota_state(secret: bytes):
+    """A blake2b state keyed with ``secret``. Every caller gets the same
+    state, so hash a copy of it."""
+    return hashlib.blake2b(key=secret, digest_size=TOTA_RESPONSE_LEN)
+
+
+_TOTA_FRAME = _frame("tota")
+
+
 def tota_response(secret: bytes, prover: int, nonce: int, step: int) -> bytes:
-    return _digest(secret, "tota", prover, nonce, step,
-                   size=TOTA_RESPONSE_LEN)
+    """``_digest(secret, "tota", prover, nonce, step,
+    size=TOTA_RESPONSE_LEN)``, hashed by a copy of the secret's state."""
+    h = _tota_state(secret).copy()
+    h.update(b"".join((_TOTA_FRAME, _frame(prover), _frame(nonce),
+                       _frame(step))))
+    return h.digest()
 
 
 def tota_verify(state: TotaState, prover: int, nonce: int,

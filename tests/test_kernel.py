@@ -13,7 +13,6 @@ from ansim.kernel import (
     LinkModel,
     LinkSpec,
     SchedulingInPast,
-    TimerFire,
     UnknownReceiver,
 )
 from ansim.model import BROADCAST, CMU_ID, Envelope, EnvelopeKind, SimError
@@ -237,12 +236,15 @@ def test_every_schedule_goes_through_the_class_attribute(monkeypatch):
     assert result.engine.stats.dispatched <= calls
 
 
-def test_unknown_event_body_raises():
+@pytest.mark.parametrize("body", [object(), (1, "short"),
+                                  (1, "long", 0, 0)],
+                         ids=["object", "2-tuple", "4-tuple"])
+def test_unknown_event_body_raises(body):
     eng = make_engine()
     fired = []
     eng.on_timer = lambda owner, tag, data: fired.append(tag)
     eng.schedule_timer(5, 1, "before")
-    eng.schedule(5, object())
+    eng.schedule(5, body)
     eng.schedule_timer(5, 1, "after")
     with pytest.raises(SimError):
         eng.run_until(10)

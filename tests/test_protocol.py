@@ -1,6 +1,8 @@
 """Role logic, loss monitors, succession and the management-unit protocol."""
 
 import dataclasses
+import hashlib
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -432,6 +434,41 @@ def test_signature_tags_computed_once_per_delivered_envelope(monkeypatch):
     engine.run_until(cfg.duration_ms)
     assert recorder.delivered == counts["deliveries"] > 0
     assert 0 < counts["tags"] <= counts["wraps"] + counts["deliveries"]
+
+
+def test_keyed_hash_states_are_built_per_sender_not_per_tag(monkeypatch):
+    cfg = make_cfg(50, profile="auth-encap", duration_ms=120000)
+    engine, net, _, _ = build_simulation(cfg)
+    counts = {"keyed": 0, "tags": 0, "establish": 0}
+    senders = set()
+    blake2b, tag_for = hashlib.blake2b, security._tag_for
+    establish = security.KeyRegistry.establish
+
+    def counting_blake2b(*args, **kwargs):
+        if kwargs.get("key"):
+            counts["keyed"] += 1
+        return blake2b(*args, **kwargs)
+
+    def counting_tag_for(env, keys, sig_len):
+        counts["tags"] += 1
+        senders.add(env.sender)
+        return tag_for(env, keys, sig_len)
+
+    def counting_establish(keys, a, b):
+        counts["establish"] += 1
+        return establish(keys, a, b)
+
+    monkeypatch.setattr(security, "hashlib",
+                        types.SimpleNamespace(blake2b=counting_blake2b))
+    monkeypatch.setattr(security, "_tag_for", counting_tag_for)
+    monkeypatch.setattr(security.KeyRegistry, "establish", counting_establish)
+    engine.run_until(cfg.duration_ms)
+    # per sender: its signing key and its keyed state; per established
+    # session: its pair key; plus the two one-time-auth secrets
+    bound = 2 * len(senders) + counts["establish"] + 4
+    # keying a state per tag would exceed the bound
+    assert counts["tags"] > 2 * bound
+    assert 0 < counts["keyed"] <= bound
 
 
 def test_pruned_broadcasts_check_few_receivers(monkeypatch):

@@ -16,10 +16,12 @@ from ansim.security import (
     ProfileMismatch,
     SecurityProfile,
     TagMismatch,
+    TOTA_RESPONSE_LEN,
     TotaOutcome,
     TotaState,
     WrongSessionKey,
     _digest,
+    _tag_for,
     fresh_nonce,
     key_holders,
     tota_response,
@@ -195,12 +197,101 @@ def test_readerless_unwrap_leaves_the_key_check_to_key_holders():
                PROFILES["auth-encap"], keys)
 
 
+@pytest.mark.parametrize("field", ["kind", "sender", "receiver", "payload",
+                                   "sent_at", "tag"])
+@pytest.mark.parametrize("profile_name", ["auth", "auth-encap"])
+def test_changing_any_signed_field_fails_the_tag(profile_name, field):
+    profile = PROFILES[profile_name]
+    keys = fresh_keys()
+    keys.establish(1, 2)
+    wrapped = wrap(env_of(), profile, keys)
+    changed = {
+        "kind": EnvelopeKind.STATUS_BROADCAST,
+        "sender": 3,
+        "receiver": 3,
+        "payload": b"t" + wrapped.payload[1:],
+        "sent_at": wrapped.sent_at + 1,
+        "tag": flip_bit(wrapped.tag, 0),
+    }[field]
+    tampered = dataclasses.replace(wrapped, **{field: changed})
+    # node 2 holds the pair key, so only the tag check can reject it
+    with pytest.raises(TagMismatch):
+        unwrap(tampered, profile, keys, reader=2)
+
+
 def test_memoised_keys_match_a_fresh_derivation():
     keys = fresh_keys()
     root = _digest(b"key-root", 11)
     for node in (CMU_ID, 1, 2, 3, 1, CMU_ID):
         assert keys.signing_key(node) == _digest(root, "sign", node)
     assert keys.group_key == _digest(root, "group")
+
+
+# ---------------------------------------------------------- tag derivation
+
+node_ids = st.one_of(st.sampled_from([BROADCAST, CMU_ID]),
+                     st.integers(1, 5000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(EnvelopeKind)), sender=node_ids,
+       receiver=node_ids, payload=st.binary(max_size=300),
+       sent_at=st.integers(0, 10**9),
+       sig_len=st.sampled_from([1, 40, 64, 65, 100]))
+def test_tag_is_the_framed_digest_of_the_signed_fields(
+        kind, sender, receiver, payload, sent_at, sig_len):
+    keys = fresh_keys()
+    env = Envelope(kind=kind, sender=sender, receiver=receiver,
+                   payload=payload, sent_at=sent_at, subject=sender)
+    expected = _digest(keys.signing_key(sender), kind.value, sender,
+                       receiver, payload, sent_at, size=sig_len)
+    assert _tag_for(env, keys, sig_len) == expected
+    # the cached keyed state is copied, never consumed
+    assert _tag_for(env, keys, sig_len) == expected
+    if sig_len >= 40:
+        # shorter tags may collide by chance
+        other = KeyRegistry(seed=12, registered_hardware_ids=set())
+        assert _tag_for(env, other, sig_len) != expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1000), prover=node_ids,
+       nonce=st.integers(0, 2**64 - 1), step=st.integers(0, 10**9))
+def test_tota_response_is_the_framed_digest(seed, prover, nonce, step):
+    # the network secret as the protocol derives it
+    secret = (KeyRegistry(seed, set()).signing_key(CMU_ID) + b"/network")
+    expected = _digest(secret, "tota", prover, nonce, step,
+                       size=TOTA_RESPONSE_LEN)
+    assert tota_response(secret, prover, nonce, step) == expected
+    assert tota_response(secret, prover, nonce, step) == expected
+    other = (KeyRegistry(seed + 1, set()).signing_key(CMU_ID) + b"/network")
+    assert tota_response(other, prover, nonce, step) != expected
+
+
+# ------------------------------------------------------------ session table
+
+def test_session_lookup_ignores_pair_order():
+    keys = fresh_keys()
+    assert not keys.has_session(1, 2) and not keys.has_session(2, 1)
+    assert keys.establish(2, 1) == keys.pair_key(1, 2)
+    assert keys.has_session(1, 2) and keys.has_session(2, 1)
+    assert not keys.has_session(1, 3) and not keys.has_session(3, 1)
+    assert keys.sealing_key_id(1, 2) == keys.sealing_key_id(2, 1) == "1:2"
+    assert keys.sealing_key_id(1, 3) is None
+
+
+def test_session_holders_of_a_pair_and_of_the_group():
+    keys = fresh_keys(members=(1, 2))
+    keys.establish(1, 2)
+    keys.establish(CMU_ID, 2)
+    assert keys.session_holders("1:2") == {1, 2}
+    assert keys.session_holders(f"{CMU_ID}:2") == {CMU_ID, 2}
+    # an id no established session has is held by nobody
+    assert keys.session_holders("1:3") == set()
+    assert keys.session_holders("2:1") == set()
+    assert keys.session_holders(GROUP_KEY_ID) == {CMU_ID, 1, 2}
+    keys.provision_member(3)
+    assert keys.session_holders(GROUP_KEY_ID) == {CMU_ID, 1, 2, 3}
 
 
 # ------------------------------------------------------------------ one-time
