@@ -236,15 +236,12 @@ def test_every_schedule_goes_through_the_class_attribute(monkeypatch):
     assert result.engine.stats.dispatched <= calls
 
 
-@pytest.mark.parametrize("body", [object(), (1, "short"),
-                                  (1, "long", 0, 0)],
-                         ids=["object", "2-tuple", "4-tuple"])
-def test_unknown_event_body_raises(body):
+def test_unknown_event_body_raises():
     eng = make_engine()
     fired = []
     eng.on_timer = lambda owner, tag, data: fired.append(tag)
     eng.schedule_timer(5, 1, "before")
-    eng.schedule(5, body)
+    eng.schedule(5, object())
     eng.schedule_timer(5, 1, "after")
     with pytest.raises(SimError):
         eng.run_until(10)
@@ -252,6 +249,22 @@ def test_unknown_event_body_raises(body):
     eng.run_until(10)
     assert fired == ["before", "after"]
     assert eng.pending() == 0
+
+
+@pytest.mark.parametrize("body", [(1, "short"), (1, "long", 0, 0)],
+                         ids=["2-tuple", "4-tuple"])
+def test_malformed_timer_tuple_raises(body):
+    # a timer is queued as (owner, tag, data); any other tuple is unknown
+    eng = make_engine()
+    fired = []
+    eng.on_timer = lambda owner, tag, data: fired.append(tag)
+    eng.schedule(5, body)
+    eng.schedule_timer(5, 1, "after")
+    with pytest.raises(SimError):
+        eng.run_until(10)
+    assert fired == []
+    eng.run_until(10)
+    assert fired == ["after"]
 
 
 # ------------------------------------------------------------ event queue
