@@ -210,7 +210,7 @@ class KeyRegistry:
         return _digest(self._root, "pair", min(a, b), max(a, b))
 
     def has_session(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._sessions
+        return self.sealing_key_id(a, b) is not None
 
     def sealing_key_id(self, a: int, b: int) -> Optional[str]:
         """The id ``"low:high"`` of the pair's session key, or None before
