@@ -11,8 +11,9 @@ every bundled scenario under every profile, plus synthetic networks that
 reach paths the bundled scenarios do not: per-receiver key failures on
 broadcasts, lossy and jittery links at fifty nodes, administrator failover,
 probing and reentry at 120 nodes, unregistered nodes among the receivers
-of a lossy 40-node network, and signature tags longer than one blake2b
-digest.
+of a lossy 40-node network, signature tags longer than one blake2b
+digest, and directed links that override the default latency, jitter and
+loss.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def _power(node: int) -> int:
 
 def _synthetic(name: str, n_nodes: int, *, profile="auth-encap",
                unregistered=(), loss=0.0, jitter_ms=0, duration_ms=600000,
-               faults=(), sig_len=None) -> str:
+               faults=(), sig_len=None, overrides=()) -> str:
     security = {"profile": profile}
     if sig_len is not None:
         security["sig_len"] = sig_len
@@ -46,7 +47,7 @@ def _synthetic(name: str, n_nodes: int, *, profile="auth-encap",
     return json.dumps({
         "name": name, "seed": 5, "duration_ms": duration_ms, "nodes": nodes,
         "links": {"latency_ms": 10, "jitter_ms": jitter_ms,
-                  "loss_probability": loss},
+                  "loss_probability": loss, "overrides": list(overrides)},
         "security": security,
         "faults": list(faults),
     })
@@ -63,6 +64,30 @@ def _failover_faults(n_nodes: int) -> list[dict]:
         {"target": admin, "kind": "restore", "at_ms": 200000},
         {"target": sensor, "kind": "restore", "at_ms": 250000},
     ]
+
+
+def _link_overrides(n_nodes: int, admin: int) -> list[dict]:
+    """Directed pairs that leave the quiet default link: lossy, jittery
+    sensor data into the administrator, fast links out of it, and slow or
+    lossy links to and from the management unit."""
+    out = []
+    for i in range(2, n_nodes + 1, 4):
+        if i != admin:
+            out.append({"src": i, "dst": admin, "latency_ms": 40,
+                        "jitter_ms": 15, "loss_probability": 0.25})
+    for i in range(3, n_nodes + 1, 5):
+        if i != admin:
+            out.append({"src": admin, "dst": i, "latency_ms": 5,
+                        "jitter_ms": 3, "loss_probability": 0.0})
+    for i in range(1, n_nodes + 1, 6):
+        out.append({"src": 0, "dst": i, "latency_ms": 30, "jitter_ms": 10,
+                    "loss_probability": 0.1})
+    for i in range(5, n_nodes + 1, 7):
+        out.append({"src": i, "dst": 0, "latency_ms": 2, "jitter_ms": 0,
+                    "loss_probability": 0.15})
+    out.append({"src": admin, "dst": 0, "latency_ms": 25, "jitter_ms": 20,
+                "loss_probability": 0.05})
+    return out
 
 
 def digest_cases():
@@ -94,6 +119,12 @@ def digest_cases():
     yield ("sig72-7/auth",
            parse_scenario(_synthetic("sig72-7", 7, profile="auth",
                                      sig_len=72)), None)
+    # per-pair link overrides on a quiet default: lookups, jitter and loss
+    # draws on the overridden pairs only
+    yield ("overrides-30/auth-encap",
+           parse_scenario(_synthetic(
+               "overrides-30", 30,
+               overrides=_link_overrides(30, admin=27))), None)
 
 
 def run_digest(cfg, profile) -> str:
