@@ -79,7 +79,6 @@ class LinkModel:
 
 @dataclass
 class _NodeFault:
-    crashed: bool = False
     defect_present: bool = False
     drop_remaining: int = 0
 
@@ -116,6 +115,9 @@ class Engine:
         self._send_seq = 0
         self._known: set[int] = set(node_ids)
         self._faults: dict[int, _NodeFault] = {n: _NodeFault() for n in self._known}
+        # ids of the nodes crashed and not yet restored; read, never written,
+        # outside the kernel
+        self.crashed: set[int] = set()
         # test hook: (sender, receiver) -> number of upcoming sends to lose
         self._forced_losses: dict[tuple[int, int], int] = {}
         self.on_deliver: Callable[[Envelope], None] = lambda env: None
@@ -212,45 +214,55 @@ class Engine:
         was lost (radio defect or probabilistic loss). A crashed sender
         transmits nothing at all and nothing is recorded for it.
         """
-        if env.receiver != BROADCAST and env.receiver not in self._known:
-            raise UnknownReceiver(f"receiver {env.receiver} is not a known node")
+        sender = env.sender
+        receiver = env.receiver
+        if receiver != BROADCAST and receiver not in self._known:
+            raise UnknownReceiver(f"receiver {receiver} is not a known node")
         if env.wire_len < len(env.payload):
             raise SimError("envelope must be wrapped before sending")
-
-        fault = self._faults.get(env.sender)
-        if fault is not None and fault.crashed:
+        if sender in self.crashed:
             return False
 
-        self._send_seq += 1
-        seq = self._send_seq
+        seq = self._send_seq = self._send_seq + 1
+        recorder = self.recorder
 
+        fault = self._faults.get(sender)
         if (fault is not None and fault.drop_remaining > 0
                 and env.kind in DATA_PACKET_KINDS):
             fault.drop_remaining -= 1
-            self._record(seq, env, delivered=False)
+            if recorder is not None:
+                recorder.record_send(seq, env, False)
             return False
 
-        forced = self._forced_losses.get((env.sender, env.receiver), 0)
-        if forced > 0:
-            self._forced_losses[(env.sender, env.receiver)] = forced - 1
-            self._record(seq, env, delivered=False)
-            return False
+        forced = self._forced_losses
+        if forced:
+            pair = (sender, receiver)
+            left = forced.get(pair, 0)
+            if left > 0:
+                if left == 1:
+                    del forced[pair]
+                else:
+                    forced[pair] = left - 1
+                if recorder is not None:
+                    recorder.record_send(seq, env, False)
+                return False
 
-        spec = self.links.spec(env.sender, env.receiver)
-        if spec.loss_probability > 0 and self.rng.random() < spec.loss_probability:
-            self._record(seq, env, delivered=False)
+        links = self.links
+        spec = (links.overrides.get((sender, receiver), links.default)
+                if links.overrides else links.default)
+        loss = spec.loss_probability
+        if loss > 0 and self.rng.random() < loss:
+            if recorder is not None:
+                recorder.record_send(seq, env, False)
             return False
 
         latency = spec.latency_ms
         if spec.jitter_ms > 0:
             latency += self.rng.randint(0, spec.jitter_ms)
         self.schedule(self.now + latency, env)
-        self._record(seq, env, delivered=True)
+        if recorder is not None:
+            recorder.record_send(seq, env, True)
         return True
-
-    def _record(self, seq: int, env: Envelope, delivered: bool) -> None:
-        if self.recorder is not None:
-            self.recorder.record_send(seq, env, delivered)
 
     def force_lose_next(self, sender: int, receiver: int, count: int = 1) -> None:
         """Fault-injection hook: lose the next ``count`` sends on a pair."""
@@ -268,18 +280,18 @@ class Engine:
             state.defect_present = True
             state.drop_remaining += fault.n
         elif fault.kind is FaultKind.CRASH:
-            state.crashed = True
+            self.crashed.add(fault.target)
             state.defect_present = True
         elif fault.kind is FaultKind.RESTORE:
-            state.crashed = False
+            self.crashed.discard(fault.target)
             state.defect_present = False
             state.drop_remaining = 0
 
     def is_crashed(self, node: int) -> bool:
-        state = self._faults.get(node)
-        return state is not None and state.crashed
+        return node in self.crashed
 
     def is_responsive(self, node: int) -> bool:
         """A node answers diagnostics only while free of any injected defect."""
         state = self._faults.get(node)
-        return state is None or not (state.crashed or state.defect_present)
+        return node not in self.crashed and (
+            state is None or not state.defect_present)

@@ -164,10 +164,6 @@ CATEGORY_BY_KIND: dict[EnvelopeKind, Category] = {
 }
 
 
-def category_of(kind: EnvelopeKind) -> Category:
-    return CATEGORY_BY_KIND[kind]
-
-
 # Kinds that carry the join/key-agreement machinery itself. They are
 # self-securing: profile wrapping never adds signature or encapsulation
 # overhead to them, so their wire length always equals their payload length.
@@ -196,21 +192,27 @@ SUBJECT_KINDS = frozenset({
 
 
 # ``init=False``: the generated frozen ``__init__`` sets each field through
-# object.__setattr__, and two envelopes are built per send. The one below
+# object.__setattr__, and an envelope is built on every send. The one below
 # writes the instance dict in one update. ``__eq__``, ``__hash__``,
 # ``__repr__`` and the raising ``__setattr__`` are still generated, and
 # ``dataclasses.replace`` goes through this ``__init__``, subject check
 # included.
 @dataclass(frozen=True, init=False)
 class Envelope:
-    """One message on the wire.
+    """One message on the wire, built once per send by ``security.wrap``.
 
     ``payload`` is modeled content; ``payload_len`` is always its length.
-    ``wire_len`` is set by the security layer when the envelope is wrapped
-    and includes any signature and encapsulation overhead. ``subject`` names
-    the node a notification-style envelope is about. ``detail`` carries small
-    structured metadata (role names, handshake step, presented hardware id)
-    that in a real implementation would be encoded inside the payload.
+    ``wire_len`` includes any signature and encapsulation overhead the
+    security layer adds. ``subject`` names the node a notification-style
+    envelope is about. ``detail`` is the small structured value that in a
+    real implementation would be encoded inside the payload, typed by kind:
+    a role assignment's ``(Role, admin id or None)``; the presented hardware
+    id of an authorization request or grant, the nonce of a challenge or
+    response and the step (1 or 2) of a key exchange, each an ``int``; the
+    ``Cause`` of a warning or alert; the purpose tag of a ping, pong, probe
+    or info message (``"rtt"``, ``"confirm"``, ``"probe"``, ``"reentry"``,
+    ``"new-admin"``, ``"cmu-supervision"``); None for every other kind. It
+    is neither traced, counted nor signed.
     """
 
     kind: EnvelopeKind
@@ -220,14 +222,14 @@ class Envelope:
     sent_at: int
     wire_len: int = -1
     subject: int | None = None
-    detail: str = ""
+    detail: object = None
     profile_name: str = ""
     tag: bytes | None = None
     sealed_key_id: str | None = None
 
     def __init__(self, kind: EnvelopeKind, sender: int, receiver: int,
                  payload: bytes, sent_at: int, wire_len: int = -1,
-                 subject: int | None = None, detail: str = "",
+                 subject: int | None = None, detail: object = None,
                  profile_name: str = "", tag: bytes | None = None,
                  sealed_key_id: str | None = None) -> None:
         if subject is None and kind in SUBJECT_KINDS:

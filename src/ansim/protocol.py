@@ -73,6 +73,10 @@ MAX_ASSIGNMENT_ROUNDS = 10
 AUTH_MAX_ATTEMPTS = 3
 HANDSHAKE_MAX_RETRIES = 3
 
+# Kinds whose every delivery feeds the receiver's loss monitor of the sender.
+MONITORED_KINDS = frozenset({EnvelopeKind.SENSOR_DATA,
+                             EnvelopeKind.STATUS_BROADCAST})
+
 # Fixed modeled payload sizes per kind; periodic data and status payloads
 # come from the scenario instead.
 FIXED_PAYLOAD_LEN = {
@@ -271,6 +275,8 @@ class Network:
         self.profile = profile
         self.keys = keys
         self.timers = timers
+        # pair-sealed unicasts wait for a session handshake
+        self._sealed = profile.kind is ProfileKind.AUTH_ENCAP
         self._payload_len = dict(FIXED_PAYLOAD_LEN)
         self._payload_len[EnvelopeKind.SENSOR_DATA] = payload_sensor_data
         self._payload_len[EnvelopeKind.STATUS_BROADCAST] = payload_status_broadcast
@@ -346,8 +352,7 @@ class Network:
             if change.to_role is Role.ADMINISTRATOR:
                 self._admin_id = change.node
             self._post(EnvelopeKind.ROLE_ASSIGNMENT, CMU_ID, BROADCAST,
-                       subject=change.node,
-                       detail=f"role={change.to_role.value}")
+                       subject=change.node, detail=(change.to_role, None))
         for node_id in self.nodes:
             self._send_auth_request(node_id, attempt=1)
 
@@ -357,52 +362,33 @@ class Network:
         self._gen += 1
         return self._gen
 
-    def _make_env(self, kind: EnvelopeKind, sender: int, receiver: int,
-                  subject: Optional[int], detail: str,
-                  length: Optional[int]) -> Envelope:
-        n = length if length is not None else self._payload_len[kind]
-        payload = make_payload(kind, sender, self.engine.now, n)
-        return Envelope(kind=kind, sender=sender, receiver=receiver,
-                        payload=payload, sent_at=self.engine.now,
-                        subject=subject, detail=detail)
-
-    def _make_response_env(self, sender: int, digest: bytes, detail: str) -> Envelope:
-        return Envelope(kind=EnvelopeKind.AUTH_RESPONSE, sender=sender,
-                        receiver=CMU_ID, payload=digest,
-                        sent_at=self.engine.now, detail=detail)
-
     def _post(self, kind: EnvelopeKind, sender: int, receiver: int, *,
-              subject: Optional[int] = None, detail: str = "",
-              length: Optional[int] = None,
+              subject: Optional[int] = None, detail: object = None,
               payload: Optional[bytes] = None) -> None:
-        """Build one envelope, wrap it under the active profile and transmit
-        it, deferring behind a session handshake when one is required."""
-        if self._session_required(kind, receiver):
+        """Send one message under the active profile, deferring it behind a
+        session handshake when the profile seals it with a pair key."""
+        if (self._sealed and receiver != BROADCAST
+                and kind not in BOOTSTRAP_KINDS):
             hs = self._handshakes.get(
                 (sender, receiver) if sender < receiver else (receiver, sender))
             if (hs is not None and not hs.done) or not self.keys.has_session(
                     sender, receiver):
                 self._pending_out.setdefault((sender, receiver), []).append(
-                    (kind, subject, detail, length, payload))
+                    (kind, subject, detail, payload))
                 self._ensure_handshake(sender, receiver)
                 return
-        self._transmit(kind, sender, receiver, subject, detail, length, payload)
+        self._transmit(kind, sender, receiver, subject, detail, payload)
 
-    def _session_required(self, kind: EnvelopeKind, receiver: int) -> bool:
-        return (self.profile.kind is ProfileKind.AUTH_ENCAP
-                and receiver != BROADCAST
-                and kind not in BOOTSTRAP_KINDS)
-
-    def _transmit(self, kind, sender, receiver, subject, detail, length,
+    def _transmit(self, kind, sender, receiver, subject, detail,
                   payload) -> None:
-        if payload is not None:
-            env = Envelope(kind=kind, sender=sender, receiver=receiver,
-                           payload=payload, sent_at=self.engine.now,
-                           subject=subject, detail=detail)
-        else:
-            env = self._make_env(kind, sender, receiver, subject, detail, length)
-        wrapped = security.wrap(env, self.profile, self.keys)
-        self.engine.send(wrapped)
+        """Wrap and send one message now; a payload not given is the
+        kind's filler, stamped with the current time."""
+        now = self.engine.now
+        if payload is None:
+            payload = make_payload(kind, sender, now, self._payload_len[kind])
+        self.engine.send(security.wrap(self.profile, self.keys, kind, sender,
+                                       receiver, payload, now, subject,
+                                       detail))
 
     # ----------------------------------------------------------- handshakes
 
@@ -414,7 +400,7 @@ class Network:
             return
         hs = _Handshake(initiator=a, peer=b, gen=self._next_gen())
         self._handshakes[pair] = hs
-        self._post(EnvelopeKind.KEY_EXCHANGE, a, b, detail="hs=1")
+        self._post(EnvelopeKind.KEY_EXCHANGE, a, b, detail=1)
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, a,
             self._node_tag("hs", b), hs.gen)
@@ -434,26 +420,24 @@ class Network:
             return
         hs.retries += 1
         hs.gen = self._next_gen()
-        self._post(EnvelopeKind.KEY_EXCHANGE, owner, peer, detail="hs=1")
+        self._post(EnvelopeKind.KEY_EXCHANGE, owner, peer, detail=1)
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, owner,
             self._node_tag("hs", peer), hs.gen)
 
     def _flush_pending(self, sender: int, receiver: int) -> None:
-        for kind, subject, detail, length, payload in self._pending_out.pop(
+        for kind, subject, detail, payload in self._pending_out.pop(
                 (sender, receiver), []):
-            self._transmit(kind, sender, receiver, subject, detail, length,
-                           payload)
+            self._transmit(kind, sender, receiver, subject, detail, payload)
 
-    def _on_key_exchange(self, env: Envelope, receiver: int,
-                         fields: dict[str, str]) -> None:
-        step = fields.get("hs")
+    def _on_key_exchange(self, env: Envelope, receiver: int) -> None:
+        step = env.detail
         other = env.sender
-        if step == "1":
+        if step == 1:
             self.keys.establish(receiver, other)
-            self._post(EnvelopeKind.KEY_EXCHANGE, receiver, other, detail="hs=2")
+            self._post(EnvelopeKind.KEY_EXCHANGE, receiver, other, detail=2)
             self._flush_pending(receiver, other)
-        elif step == "2":
+        elif step == 2:
             self.keys.establish(receiver, other)
             hs = self._handshakes.get(
                 (receiver, other) if receiver < other else (other, receiver))
@@ -469,7 +453,7 @@ class Network:
         if st.authorized or attempt > AUTH_MAX_ATTEMPTS:
             return
         self._post(EnvelopeKind.AUTHORIZATION_REQUEST, node, CMU_ID,
-                   detail=f"hw={st.profile.hardware_id}")
+                   detail=st.profile.hardware_id)
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, node,
             "authretry", attempt)
@@ -499,35 +483,30 @@ class Network:
         self._notify(Severity.ALERT, Cause.AUTH_FAILURE, subject=node,
                      reporter=CMU_ID)
 
-    def _on_auth_request(self, env: Envelope, receiver: int,
-                         fields: dict[str, str]) -> None:
+    def _on_auth_request(self, env: Envelope, receiver: int) -> None:
         node = env.sender
         if node in self._granted:
             self._post(EnvelopeKind.AUTHORIZATION_GRANT, CMU_ID, BROADCAST,
-                       subject=node, detail=f"hw={self._granted[node]}")
+                       subject=node, detail=self._granted[node])
             return
         if node in self._rejected:
             self._notify(Severity.ALERT, Cause.AUTH_FAILURE, subject=node,
                          reporter=CMU_ID)
             return
-        hw = int(fields["hw"])
         nonce = fresh_nonce(self.engine.rng)
-        self._pending_challenge[node] = (nonce, hw)
-        self._post(EnvelopeKind.AUTH_CHALLENGE, CMU_ID, node,
-                   detail=f"nonce={nonce}")
+        self._pending_challenge[node] = (nonce, env.detail)
+        self._post(EnvelopeKind.AUTH_CHALLENGE, CMU_ID, node, detail=nonce)
 
-    def _on_auth_challenge(self, env: Envelope, node: int,
-                           fields: dict[str, str]) -> None:
-        nonce = int(fields["nonce"])
+    def _on_auth_challenge(self, env: Envelope, node: int) -> None:
+        nonce = env.detail
         st = self.nodes[node]
         secret = self.tota.secret if st.registered else b"not-a-member"
         digest = tota_response(secret, node, nonce,
                                self.tota.step_at(self.engine.now))
         self._post(EnvelopeKind.AUTH_RESPONSE, node, CMU_ID,
-                   detail=f"nonce={nonce}", payload=digest)
+                   detail=nonce, payload=digest)
 
-    def _on_auth_response(self, env: Envelope, receiver: int,
-                          fields: dict[str, str]) -> None:
+    def _on_auth_response(self, env: Envelope, receiver: int) -> None:
         node = env.sender
         pending = self._pending_challenge.pop(node, None)
         if pending is None:
@@ -548,12 +527,11 @@ class Network:
         if not granted:
             return
         self._post(EnvelopeKind.AUTHORIZATION_GRANT, CMU_ID, BROADCAST,
-                   subject=node, detail=f"hw={hw}")
+                   subject=node, detail=hw)
         if self.profile.kind is ProfileKind.AUTH_ENCAP:
             self._ensure_handshake(CMU_ID, node)
 
-    def _on_auth_grant(self, env: Envelope, receiver: int,
-                       fields: dict[str, str]) -> None:
+    def _on_auth_grant(self, env: Envelope, receiver: int) -> None:
         subject = env.subject
         if subject is None:
             return
@@ -659,17 +637,6 @@ class Network:
     def _drop_monitor(self, watcher: int, watched: int) -> None:
         self._monitor_map(watcher).pop(watched, None)
 
-    def _on_monitored_delivery(self, env: Envelope, watcher: int,
-                               fields: dict[str, str]) -> None:
-        monitors = (self._cmu_monitors if watcher == CMU_ID
-                    else self.nodes[watcher].monitors)
-        ms = monitors.get(env.sender)
-        if ms is None or ms.kind is not env.kind:
-            return
-        record_packet_outcome(ms, delivered=True, at=self.engine.now)
-        ms.next_expected = self.engine.now + ms.period
-        self._arm_monitor(ms)
-
     def _on_monitor_deadline(self, watcher: int, watched: int, gen: int) -> None:
         if watcher == CMU_ID:
             ms = self._cmu_monitors.get(watched)
@@ -695,7 +662,7 @@ class Network:
         kind = (EnvelopeKind.WARNING if note.severity is Severity.WARNING
                 else EnvelopeKind.ALERT)
         self._post(kind, note.reporter, CMU_ID, subject=note.subject,
-                   detail=f"cause={note.cause.value}")
+                   detail=note.cause)
 
     # -------------------------------------------------- notification intake
 
@@ -785,8 +752,7 @@ class Network:
                                    CMU_ID, self._node_tag("probe", target),
                                    gen)
 
-    def _on_probe(self, env: Envelope, node: int,
-                  fields: dict[str, str]) -> None:
+    def _on_probe(self, env: Envelope, node: int) -> None:
         if self.engine.is_responsive(node):
             self._post(EnvelopeKind.PONG, node, CMU_ID, detail="probe")
 
@@ -811,7 +777,7 @@ class Network:
         self._notify(Severity.INFO, Cause.REENTRY, subject=node,
                      reporter=CMU_ID)
         self._post(EnvelopeKind.ROLE_ASSIGNMENT, CMU_ID, node, subject=node,
-                   detail=f"role={Role.LOW_RANK.value};admin={admin}")
+                   detail=(Role.LOW_RANK, admin))
         self._post(EnvelopeKind.INFO_MESSAGE, CMU_ID, BROADCAST, subject=node,
                    detail="reentry")
         if self._supervising:
@@ -893,8 +859,7 @@ class Network:
         fo.confirm_target = None
         self._confirm_next()
 
-    def _on_pong(self, env: Envelope, receiver: int,
-                 fields: dict[str, str]) -> None:
+    def _on_pong(self, env: Envelope, receiver: int) -> None:
         purpose = env.detail
         sender = env.sender
         if purpose == "probe":
@@ -934,7 +899,7 @@ class Network:
         self._notify(Severity.INFO, Cause.ADMIN_FAILOVER, subject=successor,
                      reporter=CMU_ID)
         self._post(EnvelopeKind.ROLE_ASSIGNMENT, CMU_ID, successor,
-                   subject=successor, detail="role=administrator")
+                   subject=successor, detail=(Role.ADMINISTRATOR, None))
         self._post(EnvelopeKind.INFO_MESSAGE, CMU_ID, BROADCAST,
                    subject=successor, detail="new-admin")
         self._failover = None
@@ -963,22 +928,6 @@ class Network:
 
     # ------------------------------------------------------------- delivery
 
-    def _eligible(self, receiver: int, env: Envelope) -> bool:
-        if receiver == CMU_ID:
-            return True
-        st = self.nodes.get(receiver)
-        if st is None:
-            return False
-        if self.engine.is_crashed(receiver):
-            return False
-        status = st.profile.status
-        if status is NodeStatus.REMOVED:
-            return env.kind is EnvelopeKind.DIAGNOSTIC_PROBE
-        if status is NodeStatus.REENTERING:
-            return env.kind in (EnvelopeKind.DIAGNOSTIC_PROBE,
-                                EnvelopeKind.ROLE_ASSIGNMENT)
-        return True
-
     def _on_deliver(self, env: Envelope) -> None:
         """Hand one delivered envelope to each eligible receiver.
 
@@ -987,12 +936,17 @@ class Network:
         open the envelope still logs its own auth failure, in receiver
         order. A broadcast whose handler acts at only a few receivers
         visits just those and the receivers that must log a failure.
+
+        The management unit is always eligible. A node is not while it is
+        crashed; once removed it hears only diagnostic probes, and while
+        re-entering only probes and role assignments. A monitored delivery
+        resets the receiver's loss streak for the sender and re-arms its
+        deadline here, without a handler.
         """
         sender = env.sender
         kind = env.kind
         readers = self._readers(env)
-        fields = _detail_fields(env.detail)
-        acting = self._acting_receivers(env, fields)
+        acting = self._acting_receivers(env)
         if env.receiver != BROADCAST:
             receivers = (env.receiver,)
             skip = None
@@ -1005,20 +959,55 @@ class Network:
                 if readers is not None:
                     visit |= self._broadcast_set.difference(readers)
                 receivers = sorted(visit)
+        probe = kind is EnvelopeKind.DIAGNOSTIC_PROBE
+        heard_reentering = probe or kind is EnvelopeKind.ROLE_ASSIGNMENT
+        monitored = kind in MONITORED_KINDS
         at_cmu = _HANDLERS.get((kind, True))
         at_node = _HANDLERS.get((kind, False))
+        engine = self.engine
+        now = engine.now
+        schedule = engine.schedule
+        crashed = engine.crashed
+        nodes = self.nodes
         for receiver in receivers:
-            if receiver == skip or not self._eligible(receiver, env):
+            if receiver == skip:
                 continue
+            if receiver == CMU_ID:
+                monitors = self._cmu_monitors
+            else:
+                if receiver in crashed:
+                    continue
+                st = nodes.get(receiver)
+                if st is None:
+                    continue
+                status = st.profile.status
+                if status is not NodeStatus.ACTIVE and not (
+                        probe if status is NodeStatus.REMOVED
+                        else heard_reentering):
+                    continue
+                monitors = st.monitors
             if readers is not None and receiver not in readers:
                 self._notify(Severity.ALERT, Cause.AUTH_FAILURE,
                              subject=sender, reporter=receiver)
                 continue
             if acting is not None and receiver not in acting:
                 continue
+            if monitored:
+                ms = monitors.get(sender)
+                if ms is None or ms.kind is not kind:
+                    continue
+                ms.last_outcome_at = now
+                ms.consecutive_losses = 0
+                ms.warned_for_current_streak = False
+                ms.alerted_for_current_streak = False
+                ms.next_expected = now + ms.period
+                gen = self._gen = self._gen + 1
+                ms.gen = gen
+                schedule(now + ms.period + ms.grace, (receiver, ms.tag, gen))
+                continue
             handler = at_cmu if receiver == CMU_ID else at_node
             if handler is not None:
-                handler(self, env, receiver, fields)
+                handler(self, env, receiver)
 
     def _readers(self, env: Envelope) -> Optional[Collection[int]]:
         """Receivers that accept ``env``: None for every receiver, an empty
@@ -1035,8 +1024,7 @@ class Network:
             return frozenset()
         return security.key_holders(env, self.profile, self.keys)
 
-    def _acting_receivers(self, env: Envelope, fields: dict[str, str]
-                          ) -> Optional[tuple]:
+    def _acting_receivers(self, env: Envelope) -> Optional[tuple]:
         """Receivers whose handler can change anything, or None for all.
 
         A grant acts only at its subject and at the administrator, and a
@@ -1046,49 +1034,42 @@ class Network:
         kind = env.kind
         if kind is EnvelopeKind.AUTHORIZATION_GRANT:
             return (env.subject, self._admin_id)
-        if (kind is EnvelopeKind.ROLE_ASSIGNMENT
-                and fields.get("role") != Role.ADMINISTRATOR.value
-                and "admin" not in fields):
-            return (env.subject,)
+        if kind is EnvelopeKind.ROLE_ASSIGNMENT:
+            role, admin = env.detail
+            if role is not Role.ADMINISTRATOR and admin is None:
+                return (env.subject,)
         return None
 
-    def _on_warning(self, env: Envelope, receiver: int,
-                    fields: dict[str, str]) -> None:
+    def _on_warning(self, env: Envelope, receiver: int) -> None:
         self._ingest(Notification(
             severity=Severity.WARNING, subject=env.subject,
             cause=Cause.SINGLE_LOSS, at=env.sent_at, reporter=env.sender))
 
-    def _on_alert(self, env: Envelope, receiver: int,
-                  fields: dict[str, str]) -> None:
+    def _on_alert(self, env: Envelope, receiver: int) -> None:
         self._ingest(Notification(
             severity=Severity.ALERT, subject=env.subject,
             cause=Cause.TRIPLE_LOSS, at=env.sent_at, reporter=env.sender))
 
-    def _on_ping(self, env: Envelope, receiver: int,
-                 fields: dict[str, str]) -> None:
+    def _on_ping(self, env: Envelope, receiver: int) -> None:
         st = self.nodes[receiver]
         if (st.profile.status is NodeStatus.ACTIVE
                 and self.engine.is_responsive(receiver)):
             self._post(EnvelopeKind.PONG, receiver, CMU_ID, detail=env.detail)
 
-    def _on_role_assignment(self, env: Envelope, receiver: int,
-                            fields: dict[str, str]) -> None:
-        role_name = fields.get("role")
+    def _on_role_assignment(self, env: Envelope, receiver: int) -> None:
+        role, admin = env.detail
         st = self.nodes[receiver]
-        if role_name == Role.ADMINISTRATOR.value and env.subject is not None:
+        if role is Role.ADMINISTRATOR and env.subject is not None:
             st.known_admin = env.subject
-        admin_field = fields.get("admin")
-        if admin_field:
-            st.known_admin = int(admin_field)
+        if admin is not None:
+            st.known_admin = admin
         if env.subject == receiver:
             self._start_duties(receiver)
 
-    def _on_removal_notice(self, env: Envelope, receiver: int,
-                           fields: dict[str, str]) -> None:
+    def _on_removal_notice(self, env: Envelope, receiver: int) -> None:
         self._drop_monitor(receiver, env.subject)
 
-    def _on_info(self, env: Envelope, receiver: int,
-                 fields: dict[str, str]) -> None:
+    def _on_info(self, env: Envelope, receiver: int) -> None:
         detail = env.detail
         subject = env.subject
         if detail == "new-admin":
@@ -1155,15 +1136,9 @@ class Network:
         return list(self._granted)
 
 
-def _detail_fields(detail: str) -> dict[str, str]:
-    """``"k=v;k2=v2"`` as a dict; a part without ``=`` maps to ``""``."""
-    if not detail:
-        return {}
-    return dict(part.partition("=")[::2] for part in detail.split(";"))
-
-
 # Delivery handlers by (kind, whether the receiver is the management unit).
-# Each is called as handler(network, envelope, receiver, detail fields).
+# Each is called as handler(network, envelope, receiver). The monitored
+# kinds have none: Network._on_deliver resets their monitors itself.
 _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.AUTHORIZATION_REQUEST, True): Network._on_auth_request,
     (EnvelopeKind.AUTH_CHALLENGE, False): Network._on_auth_challenge,
@@ -1172,10 +1147,6 @@ _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.AUTHORIZATION_GRANT, False): Network._on_auth_grant,
     (EnvelopeKind.KEY_EXCHANGE, True): Network._on_key_exchange,
     (EnvelopeKind.KEY_EXCHANGE, False): Network._on_key_exchange,
-    (EnvelopeKind.SENSOR_DATA, True): Network._on_monitored_delivery,
-    (EnvelopeKind.SENSOR_DATA, False): Network._on_monitored_delivery,
-    (EnvelopeKind.STATUS_BROADCAST, True): Network._on_monitored_delivery,
-    (EnvelopeKind.STATUS_BROADCAST, False): Network._on_monitored_delivery,
     (EnvelopeKind.WARNING, True): Network._on_warning,
     (EnvelopeKind.ALERT, True): Network._on_alert,
     (EnvelopeKind.PING, False): Network._on_ping,

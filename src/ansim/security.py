@@ -233,54 +233,53 @@ class KeyRegistry:
         return self._pair_holders.get(key_id, frozenset())
 
 
-def _tag_for(env: Envelope, keys: KeyRegistry, sig_len: int) -> bytes:
+def _tag_for(keys: KeyRegistry, sig_len: int, kind: EnvelopeKind,
+             sender: int, receiver: int, payload: bytes,
+             sent_at: int) -> bytes:
     """The signature tag: the bytes of ``_digest(keys.signing_key(sender),
     kind, sender, receiver, payload, sent_at, size=sig_len)``, hashed as one
     buffer by a copy of the sender's keyed state."""
-    h = keys.signer(env.sender, sig_len).copy()
+    h = keys.signer(sender, sig_len).copy()
     ids = keys.id_frames
-    payload = env.payload
-    sent_at = str(env.sent_at).encode()
-    h.update(b"".join((_KIND_FRAMES[env.kind], ids[env.sender],
-                       ids[env.receiver], len(payload).to_bytes(4, "big"),
-                       payload, len(sent_at).to_bytes(4, "big"), sent_at)))
+    sent = str(sent_at).encode()
+    h.update(b"".join((_KIND_FRAMES[kind], ids[sender], ids[receiver],
+                       len(payload).to_bytes(4, "big"), payload,
+                       len(sent).to_bytes(4, "big"), sent)))
     tag = h.digest()
     return tag if sig_len <= 64 else _stretch(tag, sig_len)
 
 
-def _on_wire(env: Envelope, wire_len: int, profile_name: str,
-             tag: Optional[bytes], sealed_key_id: Optional[str]) -> Envelope:
-    """``env`` with its wire fields set. Built positionally because it runs
-    on every send and ``dataclasses.replace`` scans every field."""
-    return Envelope(env.kind, env.sender, env.receiver, env.payload,
-                    env.sent_at, wire_len, env.subject, env.detail,
-                    profile_name, tag, sealed_key_id)
-
-
-def wrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry) -> Envelope:
-    """Apply one profile to an envelope, producing the on-wire form.
+def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
+         sender: int, receiver: int, payload: bytes, sent_at: int,
+         subject: Optional[int] = None, detail: object = None) -> Envelope:
+    """The one on-wire envelope of a message under ``profile``.
 
     Bootstrap kinds (authorization, challenge-response, key exchange) are the
     securing machinery itself and go out at payload length in every profile.
+    Under auth-encap a unicast needs the pair's session (NoSessionKey
+    otherwise) and a broadcast is sealed with the group key.
     """
-    is_boot = env.kind in BOOTSTRAP_KINDS
-    wire = profile.wire_len_for(len(env.payload), is_boot)
-    name = profile.kind._value_
-    if is_boot or profile.kind is ProfileKind.PLAIN:
-        return _on_wire(env, wire, name, None, None)
-
-    tag = _tag_for(env, keys, profile.sig_len)
-    if profile.kind is ProfileKind.AUTH:
-        return _on_wire(env, wire, name, tag, None)
-
-    if env.receiver == BROADCAST:
+    pkind = profile.kind
+    name = pkind._value_
+    if pkind is ProfileKind.PLAIN or kind in BOOTSTRAP_KINDS:
+        return Envelope(kind, sender, receiver, payload, sent_at,
+                        len(payload), subject, detail, name, None, None)
+    tag = _tag_for(keys, profile.sig_len, kind, sender, receiver, payload,
+                   sent_at)
+    wire = len(payload) + profile.sig_len
+    if pkind is ProfileKind.AUTH:
+        return Envelope(kind, sender, receiver, payload, sent_at, wire,
+                        subject, detail, name, tag, None)
+    if receiver == BROADCAST:
         key_id = GROUP_KEY_ID
     else:
-        key_id = keys.sealing_key_id(env.sender, env.receiver)
+        key_id = keys.sealing_key_id(sender, receiver)
         if key_id is None:
             raise NoSessionKey(
-                f"no session key for pair ({env.sender}, {env.receiver})")
-    return _on_wire(env, wire, name, tag, key_id)
+                f"no session key for pair ({sender}, {receiver})")
+    return Envelope(kind, sender, receiver, payload, sent_at,
+                    wire + profile.encap_overhead, subject, detail, name,
+                    tag, key_id)
 
 
 def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
@@ -312,7 +311,8 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
             raise WrongSessionKey(
                 f"node {reader} does not hold key {env.sealed_key_id}")
 
-    expected = _tag_for(env, keys, profile.sig_len)
+    expected = _tag_for(keys, profile.sig_len, env.kind, env.sender,
+                        env.receiver, env.payload, env.sent_at)
     if env.tag != expected:
         raise TagMismatch("signature tag does not verify")
     return env.payload

@@ -23,7 +23,6 @@ from ansim.cli import main
 from ansim.model import (
     BROADCAST,
     Cause,
-    Envelope,
     EnvelopeKind,
     NodeStatus,
     Role,
@@ -233,21 +232,21 @@ def test_criterion_5_security_envelope_suite():
         "auth": SecurityProfile.auth_only(40),
         "auth-encap": SecurityProfile.auth_encap(40, 320, 2, 64),
     }
-    unicast = Envelope(kind=EnvelopeKind.SENSOR_DATA, sender=1, receiver=2,
-                       payload=b"p" * 120, sent_at=77)
-    broadcast = Envelope(kind=EnvelopeKind.STATUS_BROADCAST, sender=1,
-                         receiver=BROADCAST, payload=b"s" * 120, sent_at=77)
+    # (kind, sender, receiver, payload, sent_at) as wrap takes them
+    unicast = (EnvelopeKind.SENSOR_DATA, 1, 2, b"p" * 120, 77)
+    broadcast = (EnvelopeKind.STATUS_BROADCAST, 1, BROADCAST, b"s" * 120, 77)
 
     for prof in profiles.values():
-        for env in (unicast, broadcast):
-            assert unwrap(wrap(env, prof, keys), prof, keys, reader=2) \
-                == env.payload
+        for msg in (unicast, broadcast):
+            payload = msg[3]
+            assert unwrap(wrap(prof, keys, *msg), prof, keys, reader=2) \
+                == payload
 
-    for env in (unicast, broadcast):
-        w_plain = wrap(env, profiles["plain"], keys).wire_len
-        w_auth = wrap(env, profiles["auth"], keys).wire_len
-        w_encap = wrap(env, profiles["auth-encap"], keys).wire_len
-        assert w_plain == env.payload_len
+    for msg in (unicast, broadcast):
+        w_plain = wrap(profiles["plain"], keys, *msg).wire_len
+        w_auth = wrap(profiles["auth"], keys, *msg).wire_len
+        w_encap = wrap(profiles["auth-encap"], keys, *msg).wire_len
+        assert w_plain == len(msg[3])
         assert w_auth - w_plain == 40
         assert w_encap - w_auth == 320
         assert w_encap - w_plain == 40 + 320
@@ -255,7 +254,7 @@ def test_criterion_5_security_envelope_suite():
     tampered = 0
     for name in ("auth", "auth-encap"):
         prof = profiles[name]
-        wrapped = wrap(unicast, prof, keys)
+        wrapped = wrap(prof, keys, *unicast)
         payload_bits = len(wrapped.payload) * 8
         total_bits = payload_bits + len(wrapped.tag) * 8
         for _ in range(100):

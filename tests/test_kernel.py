@@ -184,6 +184,24 @@ def test_forced_loss_hook():
     assert seen == [2]
 
 
+def test_forced_losses_run_out_per_pair():
+    rec = SpyRecorder()
+    eng = make_engine(recorder=rec)
+    eng.force_lose_next(1, 2, count=2)
+    eng.force_lose_next(3, 2, count=1)
+    sends = [(1, 2), (2, 1), (1, 3), (1, 2), (1, 2), (1, 2), (3, 2),
+             (3, 2)]
+    outcomes = [eng.send(data_env(sender=s, receiver=r)) for s, r in sends]
+    # 1->2 loses its next two sends and then delivers; the reverse
+    # direction and other pairs from the same sender are untouched
+    assert outcomes == [False, True, True, False, True, True, False, True]
+    assert [d for _, _, d in rec.calls] == outcomes
+    # a pair whose losses ran out can be forced again
+    eng.force_lose_next(1, 2)
+    assert eng.send(data_env(sender=1, receiver=2)) is False
+    assert eng.send(data_env(sender=1, receiver=2)) is True
+
+
 def test_trace_line_format():
     trace = []
     eng = make_engine(trace=trace)

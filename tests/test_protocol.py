@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ansim import security
+from ansim import protocol, security
+from ansim.kernel import FaultKind, FaultSpec
 from ansim.model import (
     BROADCAST,
     CMU_ID,
@@ -395,9 +396,9 @@ def test_tampered_broadcast_fails_at_every_eligible_receiver(profile):
                    faults=[FaultEntry(target=4, kind="crash", at_ms=10000)])
     engine, net, _, _ = build_simulation(cfg)
     engine.run_until(cfg.duration_ms)
-    env = Envelope(kind=EnvelopeKind.STATUS_BROADCAST, sender=1,
-                   receiver=BROADCAST, payload=b"status", sent_at=engine.now)
-    wrapped = security.wrap(env, net.profile, net.keys)
+    wrapped = security.wrap(net.profile, net.keys,
+                            EnvelopeKind.STATUS_BROADCAST, 1, BROADCAST,
+                            b"status", engine.now)
     tampered = dataclasses.replace(wrapped, tag=bytes(len(wrapped.tag)))
     before = len(net.notifications)
     engine.on_deliver(tampered)
@@ -449,10 +450,10 @@ def test_keyed_hash_states_are_built_per_sender_not_per_tag(monkeypatch):
             counts["keyed"] += 1
         return blake2b(*args, **kwargs)
 
-    def counting_tag_for(env, keys, sig_len):
+    def counting_tag_for(keys, sig_len, kind, sender, *signed):
         counts["tags"] += 1
-        senders.add(env.sender)
-        return tag_for(env, keys, sig_len)
+        senders.add(sender)
+        return tag_for(keys, sig_len, kind, sender, *signed)
 
     def counting_establish(keys, a, b):
         counts["establish"] += 1
@@ -471,21 +472,36 @@ def test_keyed_hash_states_are_built_per_sender_not_per_tag(monkeypatch):
     assert 0 < counts["keyed"] <= bound
 
 
-def test_pruned_broadcasts_check_few_receivers(monkeypatch):
-    # grants and role assignments that name no administrator act at one or
-    # two receivers, so the bootstrap must not check every node for each
+class CountingSet(set):
+    """A set that counts its membership tests."""
+
     checks = 0
-    eligible = Network._eligible
 
-    def counting_eligible(self, receiver, env):
-        nonlocal checks
-        checks += 1
-        return eligible(self, receiver, env)
+    def __contains__(self, item):
+        self.checks += 1
+        return super().__contains__(item)
 
-    monkeypatch.setattr(Network, "_eligible", counting_eligible)
+
+def test_pruned_broadcasts_check_few_receivers():
+    # grants and role assignments that name no administrator act at one or
+    # two receivers, so the bootstrap must not check every node for each.
+    # The kernel looks each sender up in its crashed set, and the delivery
+    # loop each node receiver it checks, so the lookups less the sends
+    # count the receivers checked.
     n = 200
     engine, net, _, _ = build_simulation(make_cfg(n, duration_ms=1000))
+    engine.crashed = CountingSet(engine.crashed)
+    sends = 0
+    send = engine.send
+
+    def counting_send(env):
+        nonlocal sends
+        sends += 1
+        return send(env)
+
+    engine.send = counting_send
     engine.run_until(1000)
+    checks = engine.crashed.checks - sends
     assert sorted(net.granted_nodes()) == list(range(1, n + 1))
     assert 0 < checks <= 10 * n
 
@@ -506,3 +522,95 @@ def test_unregistered_receivers_fail_every_bootstrap_role_assignment():
                 if note.cause is Cause.AUTH_FAILURE]
     assert [note.reporter for note in failures] == [7, 14, 28] * n
     assert all(note.subject == CMU_ID and note.at == 10 for note in failures)
+
+
+def test_one_envelope_is_built_per_send(monkeypatch):
+    cfg = make_cfg(50, profile="auth-encap", duration_ms=120000)
+    engine, net, recorder, _ = build_simulation(cfg)
+    built = 0
+    init = Envelope.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Envelope, "__init__", counting_init)
+    engine.run_until(cfg.duration_ms)
+    assert built == recorder.sent > 0
+
+
+def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
+                crash=False, node=3):
+    """Deliver one envelope of every kind from the management unit to
+    ``node`` (or to everyone) in a settled 4-node network; return the kinds
+    ``node`` heard and, for a broadcast, the kinds node 2 heard. A kind is
+    heard when its handler runs or, for monitored kinds, when it resets the
+    receiver's monitor of the sender."""
+    engine, net, _, _ = build_simulation(make_cfg(4, duration_ms=20000))
+    engine.run_until(20000)
+    st = net.nodes[node]
+    st.profile = st.profile.with_status(status)
+    if crash:
+        engine.inject(FaultSpec(target=node, kind=FaultKind.CRASH,
+                                at=engine.now))
+        engine.run_until(engine.now)
+    heard = []
+
+    def record(_net, env, receiver):
+        heard.append((env.kind, receiver))
+
+    monkeypatch.setattr(protocol, "_HANDLERS", {
+        (kind, at_cmu): record
+        for kind in EnvelopeKind for at_cmu in (True, False)})
+    for kind in EnvelopeKind:
+        monitor = None
+        if kind in protocol.MONITORED_KINDS:
+            monitor = st.monitors[CMU_ID] = MonitorState(
+                watcher=node, watched=CMU_ID, kind=kind, period=1000,
+                grace=250, next_expected=engine.now, tag="mon/0")
+        detail = ((Role.LOW_RANK, CMU_ID)
+                  if kind is EnvelopeKind.ROLE_ASSIGNMENT else None)
+        engine.on_deliver(security.wrap(
+            net.profile, net.keys, kind, CMU_ID,
+            BROADCAST if broadcast else node, b"x" * 16, engine.now,
+            subject=node, detail=detail))
+        if monitor is not None and monitor.last_outcome_at == engine.now:
+            heard.append((kind, node))
+    return ({kind for kind, receiver in heard if receiver == node},
+            {kind for kind, receiver in heard if receiver == 2})
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_an_active_node_hears_every_kind(monkeypatch, broadcast):
+    heard, _ = kinds_heard(monkeypatch, broadcast=broadcast)
+    assert heard == set(EnvelopeKind)
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_a_removed_node_hears_only_diagnostic_probes(monkeypatch, broadcast):
+    heard, _ = kinds_heard(monkeypatch, broadcast=broadcast,
+                           status=NodeStatus.REMOVED)
+    assert heard == {EnvelopeKind.DIAGNOSTIC_PROBE}
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_a_reentering_node_hears_only_probes_and_role_assignments(
+        monkeypatch, broadcast):
+    heard, _ = kinds_heard(monkeypatch, broadcast=broadcast,
+                           status=NodeStatus.REENTERING)
+    assert heard == {EnvelopeKind.DIAGNOSTIC_PROBE,
+                     EnvelopeKind.ROLE_ASSIGNMENT}
+
+
+@pytest.mark.parametrize("broadcast", [False, True])
+def test_a_crashed_node_hears_nothing(monkeypatch, broadcast):
+    heard, heard_by_2 = kinds_heard(monkeypatch, broadcast=broadcast,
+                                    crash=True)
+    assert heard == set()
+    if broadcast:
+        # the other receivers of the same broadcasts still hear them; node 2
+        # watches nobody, and a grant acts only at its subject and the
+        # administrator
+        assert heard_by_2 == (set(EnvelopeKind) - protocol.MONITORED_KINDS
+                              - {EnvelopeKind.AUTHORIZATION_GRANT})

@@ -2,12 +2,20 @@
 
 import dataclasses
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ansim.model import BROADCAST, CMU_ID, Envelope, EnvelopeKind, SimError
+from ansim.model import (
+    BROADCAST,
+    CMU_ID,
+    Cause,
+    Envelope,
+    EnvelopeKind,
+    SimError,
+)
 from ansim.security import (
     GROUP_KEY_ID,
     KeyRegistry,
@@ -44,10 +52,19 @@ def fresh_keys(members=(1, 2, 3)):
     return keys
 
 
-def env_of(kind=EnvelopeKind.SENSOR_DATA, sender=1, receiver=2, length=120,
+class Message(NamedTuple):
+    """The fields ``wrap`` takes after the profile and the keys."""
+
+    kind: EnvelopeKind
+    sender: int
+    receiver: int
+    payload: bytes
+    sent_at: int
+
+
+def msg_of(kind=EnvelopeKind.SENSOR_DATA, sender=1, receiver=2, length=120,
            sent_at=1000):
-    return Envelope(kind=kind, sender=sender, receiver=receiver,
-                    payload=b"s" * length, sent_at=sent_at)
+    return Message(kind, sender, receiver, b"s" * length, sent_at)
 
 
 # ------------------------------------------------------------------ profiles
@@ -90,39 +107,57 @@ def test_roundtrip_all_profiles():
     keys = fresh_keys()
     keys.establish(1, 2)
     for name, profile in PROFILES.items():
-        env = env_of()
-        wrapped = wrap(env, profile, keys)
-        assert wrapped.wire_len == profile.wire_len_for(env.payload_len, False)
+        msg = msg_of()
+        wrapped = wrap(profile, keys, *msg)
+        assert wrapped.wire_len == profile.wire_len_for(len(msg.payload), False)
         assert wrapped.profile_name == name
-        assert unwrap(wrapped, profile, keys, reader=2) == env.payload
+        assert unwrap(wrapped, profile, keys, reader=2) == msg.payload
+
+
+@pytest.mark.parametrize("profile_name", list(PROFILES))
+def test_wrap_builds_the_wire_envelope_with_subject_and_detail(profile_name):
+    profile = PROFILES[profile_name]
+    keys = fresh_keys()
+    keys.establish(1, CMU_ID)
+    msg = msg_of(kind=EnvelopeKind.WARNING, receiver=CMU_ID, length=32)
+    wrapped = wrap(profile, keys, *msg, subject=2, detail=Cause.SINGLE_LOSS)
+    assert type(wrapped) is Envelope
+    assert tuple(getattr(wrapped, f) for f in Message._fields) == msg
+    assert wrapped.subject == 2 and wrapped.detail is Cause.SINGLE_LOSS
+    assert wrapped.wire_len == profile.wire_len_for(32, False)
+    assert wrapped.profile_name == profile_name
+    assert unwrap(wrapped, profile, keys, reader=CMU_ID) == msg.payload
+    # a notification kind still needs its subject
+    with pytest.raises(SimError):
+        wrap(profile, keys, *msg)
 
 
 def test_bootstrap_kinds_never_wrapped():
     keys = fresh_keys()
     for profile in PROFILES.values():
-        env = env_of(kind=EnvelopeKind.AUTHORIZATION_REQUEST, receiver=CMU_ID,
+        msg = msg_of(kind=EnvelopeKind.AUTHORIZATION_REQUEST, receiver=CMU_ID,
                      length=16)
-        wrapped = wrap(env, profile, keys)
+        wrapped = wrap(profile, keys, *msg)
         assert wrapped.wire_len == 16
         assert wrapped.tag is None
-        assert unwrap(wrapped, profile, keys, reader=CMU_ID) == env.payload
+        assert unwrap(wrapped, profile, keys, reader=CMU_ID) == msg.payload
 
 
 def test_encap_unicast_requires_session():
     keys = fresh_keys()
     with pytest.raises(NoSessionKey):
-        wrap(env_of(), PROFILES["auth-encap"], keys)
+        wrap(PROFILES["auth-encap"], keys, *msg_of())
     keys.establish(1, 2)
-    wrapped = wrap(env_of(), PROFILES["auth-encap"], keys)
+    wrapped = wrap(PROFILES["auth-encap"], keys, *msg_of())
     assert wrapped.sealed_key_id == "1:2"
 
 
 def test_encap_broadcast_uses_group_key():
     keys = fresh_keys(members=(1, 2))
-    env = env_of(kind=EnvelopeKind.STATUS_BROADCAST, receiver=BROADCAST)
-    wrapped = wrap(env, PROFILES["auth-encap"], keys)
+    msg = msg_of(kind=EnvelopeKind.STATUS_BROADCAST, receiver=BROADCAST)
+    wrapped = wrap(PROFILES["auth-encap"], keys, *msg)
     assert wrapped.sealed_key_id == GROUP_KEY_ID
-    assert unwrap(wrapped, PROFILES["auth-encap"], keys, reader=2) == env.payload
+    assert unwrap(wrapped, PROFILES["auth-encap"], keys, reader=2) == msg.payload
     # node 3 was never provisioned with the group key
     keys.group_members.discard(3)
     with pytest.raises(WrongSessionKey):
@@ -132,14 +167,14 @@ def test_encap_broadcast_uses_group_key():
 def test_non_holder_cannot_open_pair_sealed_envelope():
     keys = fresh_keys()
     keys.establish(1, 2)
-    wrapped = wrap(env_of(), PROFILES["auth-encap"], keys)
+    wrapped = wrap(PROFILES["auth-encap"], keys, *msg_of())
     with pytest.raises(WrongSessionKey):
         unwrap(wrapped, PROFILES["auth-encap"], keys, reader=3)
 
 
 def test_profile_mismatch_detected():
     keys = fresh_keys()
-    wrapped = wrap(env_of(), PROFILES["auth"], keys)
+    wrapped = wrap(PROFILES["auth"], keys, *msg_of())
     with pytest.raises(ProfileMismatch):
         unwrap(wrapped, PROFILES["plain"], keys, reader=2)
 
@@ -157,8 +192,7 @@ def test_hundred_single_bit_tamperings_rejected(profile_name):
     keys = fresh_keys()
     keys.establish(1, 2)
     rng = random.Random(13)
-    env = env_of()
-    wrapped = wrap(env, profile, keys)
+    wrapped = wrap(profile, keys, *msg_of())
     total_bits = (len(wrapped.payload) + len(wrapped.tag)) * 8
     for _ in range(100):
         bit = rng.randrange(total_bits)
@@ -176,9 +210,8 @@ def test_hundred_single_bit_tamperings_rejected(profile_name):
 def test_forged_sender_identity_rejected():
     # node 3 cannot produce node 1's tag because signing keys differ
     keys = fresh_keys()
-    env = env_of(sender=1)
-    wrapped = wrap(env, PROFILES["auth"], keys)
-    fake_tag = wrap(env_of(sender=3, receiver=2), PROFILES["auth"], keys).tag
+    wrapped = wrap(PROFILES["auth"], keys, *msg_of(sender=1))
+    fake_tag = wrap(PROFILES["auth"], keys, *msg_of(sender=3, receiver=2)).tag
     forged = dataclasses.replace(wrapped, tag=fake_tag)
     with pytest.raises(TagMismatch):
         unwrap(forged, PROFILES["auth"], keys, reader=2)
@@ -187,10 +220,10 @@ def test_forged_sender_identity_rejected():
 def test_readerless_unwrap_leaves_the_key_check_to_key_holders():
     keys = fresh_keys()
     keys.establish(1, 2)
-    sealed = wrap(env_of(), PROFILES["auth-encap"], keys)
+    sealed = wrap(PROFILES["auth-encap"], keys, *msg_of())
     assert unwrap(sealed, PROFILES["auth-encap"], keys) == sealed.payload
     assert key_holders(sealed, PROFILES["auth-encap"], keys) == {1, 2}
-    signed = wrap(env_of(), PROFILES["auth"], keys)
+    signed = wrap(PROFILES["auth"], keys, *msg_of())
     assert key_holders(signed, PROFILES["auth"], keys) is None
     with pytest.raises(TagMismatch):
         unwrap(dataclasses.replace(sealed, tag=flip_bit(sealed.tag, 0)),
@@ -204,7 +237,7 @@ def test_changing_any_signed_field_fails_the_tag(profile_name, field):
     profile = PROFILES[profile_name]
     keys = fresh_keys()
     keys.establish(1, 2)
-    wrapped = wrap(env_of(), profile, keys)
+    wrapped = wrap(profile, keys, *msg_of())
     changed = {
         "kind": EnvelopeKind.STATUS_BROADCAST,
         "sender": 3,
@@ -241,17 +274,16 @@ node_ids = st.one_of(st.sampled_from([BROADCAST, CMU_ID]),
 def test_tag_is_the_framed_digest_of_the_signed_fields(
         kind, sender, receiver, payload, sent_at, sig_len):
     keys = fresh_keys()
-    env = Envelope(kind=kind, sender=sender, receiver=receiver,
-                   payload=payload, sent_at=sent_at, subject=sender)
+    msg = Message(kind, sender, receiver, payload, sent_at)
     expected = _digest(keys.signing_key(sender), kind.value, sender,
                        receiver, payload, sent_at, size=sig_len)
-    assert _tag_for(env, keys, sig_len) == expected
+    assert _tag_for(keys, sig_len, *msg) == expected
     # the cached keyed state is copied, never consumed
-    assert _tag_for(env, keys, sig_len) == expected
+    assert _tag_for(keys, sig_len, *msg) == expected
     if sig_len >= 40:
         # shorter tags may collide by chance
         other = KeyRegistry(seed=12, registered_hardware_ids=set())
-        assert _tag_for(env, other, sig_len) != expected
+        assert _tag_for(other, sig_len, *msg) != expected
 
 
 @settings(max_examples=200, deadline=None)
