@@ -248,8 +248,8 @@ class Engine:
                 return False
 
         links = self.links
-        spec = (links.overrides.get((sender, receiver), links.default)
-                if links.overrides else links.default)
+        spec = (links.spec(sender, receiver) if links.overrides
+                else links.default)
         loss = spec.loss_probability
         if loss > 0 and self.rng.random() < loss:
             if recorder is not None:

@@ -259,27 +259,24 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     Under auth-encap a unicast needs the pair's session (NoSessionKey
     otherwise) and a broadcast is sealed with the group key.
     """
-    pkind = profile.kind
-    name = pkind._value_
-    if pkind is ProfileKind.PLAIN or kind in BOOTSTRAP_KINDS:
-        return Envelope(kind, sender, receiver, payload, sent_at,
-                        len(payload), subject, detail, name, None, None)
-    tag = _tag_for(keys, profile.sig_len, kind, sender, receiver, payload,
-                   sent_at)
-    wire = len(payload) + profile.sig_len
-    if pkind is ProfileKind.AUTH:
-        return Envelope(kind, sender, receiver, payload, sent_at, wire,
-                        subject, detail, name, tag, None)
-    if receiver == BROADCAST:
-        key_id = GROUP_KEY_ID
+    is_boot = kind in BOOTSTRAP_KINDS
+    if is_boot or profile.kind is ProfileKind.PLAIN:
+        tag = key_id = None
     else:
-        key_id = keys.sealing_key_id(sender, receiver)
-        if key_id is None:
-            raise NoSessionKey(
-                f"no session key for pair ({sender}, {receiver})")
+        tag = _tag_for(keys, profile.sig_len, kind, sender, receiver,
+                       payload, sent_at)
+        if profile.kind is ProfileKind.AUTH:
+            key_id = None
+        elif receiver == BROADCAST:
+            key_id = GROUP_KEY_ID
+        else:
+            key_id = keys.sealing_key_id(sender, receiver)
+            if key_id is None:
+                raise NoSessionKey(
+                    f"no session key for pair ({sender}, {receiver})")
     return Envelope(kind, sender, receiver, payload, sent_at,
-                    wire + profile.encap_overhead, subject, detail, name,
-                    tag, key_id)
+                    profile.wire_len_for(len(payload), is_boot), subject,
+                    detail, profile.kind._value_, tag, key_id)
 
 
 def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
