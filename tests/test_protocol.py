@@ -26,7 +26,6 @@ from ansim.protocol import (
     DuplicateHardwareId,
     EmptyNetwork,
     MonitorState,
-    Network,
     NoCandidate,
     RoleChange,
     RoleChangeReason,
