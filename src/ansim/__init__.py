@@ -25,7 +25,6 @@ from .protocol import (
     SuccessionTable,
     assign_initial_roles,
     record_packet_outcome,
-    select_successor,
 )
 from .runner import RunResult, build_simulation, compare_profiles, run_scenario
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, parse_scenario
@@ -72,5 +71,4 @@ __all__ = [
     "parse_scenario",
     "record_packet_outcome",
     "run_scenario",
-    "select_successor",
 ]

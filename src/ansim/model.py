@@ -32,52 +32,12 @@ class IdentityHashEnum(Enum):
 
 
 class Role(IdentityHashEnum):
-    CMU = "cmu"
     ADMINISTRATOR = "administrator"
-    POLICY_APPLIER = "policy_applier"
-    AUTHENTICITY_PROVIDER = "authenticity_provider"
     FIRE_SENSOR = "fire_sensor"
     LOW_RANK = "low_rank"
 
 
-# Rank 0 is the supervisory root; larger numbers mean lower authority.
-# The two rank-2 roles are deliberately equal: neither outranks the other.
-_RANK: dict[Role, int] = {
-    Role.CMU: 0,
-    Role.ADMINISTRATOR: 1,
-    Role.POLICY_APPLIER: 2,
-    Role.AUTHENTICITY_PROVIDER: 2,
-    Role.FIRE_SENSOR: 3,
-    Role.LOW_RANK: 3,
-}
-
-# High-rank node roles. The management unit sits above the hierarchy and is
-# deliberately excluded.
-_HRN_ROLES = frozenset({
-    Role.ADMINISTRATOR,
-    Role.POLICY_APPLIER,
-    Role.AUTHENTICITY_PROVIDER,
-})
-
 _LRN_ROLES = frozenset({Role.FIRE_SENSOR, Role.LOW_RANK})
-
-
-def rank_of(role: Role) -> int:
-    return _RANK[role]
-
-
-def compare_rank(a: Role, b: Role) -> int:
-    """Total pre-order on roles by authority.
-
-    Returns a positive number when ``a`` outranks ``b``, zero when the two
-    roles hold equal authority, negative when ``b`` outranks ``a``.
-    """
-    return _RANK[b] - _RANK[a]
-
-
-def is_hrn(role: Role) -> bool:
-    """True exactly for the three high-rank node roles."""
-    return role in _HRN_ROLES
 
 
 def is_lrn(role: Role) -> bool:
@@ -243,10 +203,6 @@ class Envelope:
     @property
     def payload_len(self) -> int:
         return len(self.payload)
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.receiver == BROADCAST
 
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:

@@ -35,7 +35,6 @@ from .model import (
     Role,
     Severity,
     SimError,
-    is_hrn,
     is_lrn,
     make_payload,
 )
@@ -52,10 +51,6 @@ from .security import (
 
 
 class EmptyNetwork(SimError):
-    pass
-
-
-class NoCandidate(SimError):
     pass
 
 
@@ -178,17 +173,6 @@ class SuccessionTable:
         return [e.node for e in self.entries if e.rtt is not None]
 
 
-def select_successor(table: SuccessionTable,
-                     is_alive: Callable[[int], bool]) -> int:
-    """First responsive table entry that still answers a liveness check."""
-    for entry in table.entries:
-        if entry.rtt is None:
-            continue
-        if is_alive(entry.node):
-            return entry.node
-    raise NoCandidate("no responsive succession candidate")
-
-
 # -------------------------------------------------------------- role changes
 
 class RoleChangeReason(Enum):
@@ -255,8 +239,7 @@ class _Handshake:
 @dataclass
 class _Failover:
     old_admin: int
-    tiers: list[list[int]]
-    phase: str = "idle"  # measure | confirm
+    phase: str = "measure"  # measure | confirm
     gen: int = 0
     started_at: int = 0
     pending: dict[int, Optional[int]] = field(default_factory=dict)
@@ -793,27 +776,15 @@ class Network:
         self._remove_node(old_admin)
         # a demoted former administrator stays in the low rank for good, so
         # it never reappears as a succession candidate
-        hrn_tier = [n for n, st in self.nodes.items()
-                    if n in self._granted and n != old_admin
-                    and n not in self._demoted
-                    and st.profile.status is NodeStatus.ACTIVE
-                    and is_hrn(st.profile.role)]
-        lrn_tier = [n for n, st in self.nodes.items()
-                    if n in self._granted and n != old_admin
-                    and n not in self._demoted
-                    and st.profile.status is NodeStatus.ACTIVE
-                    and is_lrn(st.profile.role)]
-        tiers = [tier for tier in (hrn_tier, lrn_tier) if tier]
-        self._failover = _Failover(old_admin=old_admin, tiers=tiers)
-        self._failover_next_tier()
-
-    def _failover_next_tier(self) -> None:
-        fo = self._failover
-        if not fo.tiers:
+        peers = [n for n, st in self.nodes.items()
+                 if n in self._granted and n != old_admin
+                 and n not in self._demoted
+                 and st.profile.status is NodeStatus.ACTIVE
+                 and is_lrn(st.profile.role)]
+        self._failover = fo = _Failover(old_admin=old_admin)
+        if not peers:
             self._no_candidate()
             return
-        peers = fo.tiers.pop(0)
-        fo.phase = "measure"
         fo.gen = self._next_gen()
         fo.started_at = self.engine.now
         fo.pending = {p: None for p in sorted(peers)}
@@ -850,7 +821,7 @@ class Network:
                 self.engine.now + self.timers.rtt_timeout_ms, CMU_ID,
                 "confirm", fo.gen)
             return
-        self._failover_next_tier()
+        self._no_candidate()
 
     def _on_confirm_timeout(self, _owner: int, _arg: None, gen: int) -> None:
         fo = self._failover

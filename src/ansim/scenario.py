@@ -155,7 +155,6 @@ class _Reader:
         if key not in self.data:
             if required:
                 self.err(key, "required field is missing")
-                return None if default is ... else default
             return None if default is ... else default
         value = self.data[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -193,8 +192,6 @@ def _parse_node(data: Any, idx: int, errors: list[str]) -> Optional[NodeSpec]:
         r.err("id", f"node ids start at 1 (id 0 is reserved), got {nid}")
     if power <= 0:
         r.err("processing_power", f"must be > 0, got {power}")
-    if errors:
-        pass
     return NodeSpec(id=nid, hardware_id=hw, processing_power=power,
                     x=x, y=y, registered=bool(registered))
 

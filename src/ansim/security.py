@@ -38,10 +38,6 @@ class NoSessionKey(SimError):
     pass
 
 
-class UnauthorizedSender(SimError):
-    pass
-
-
 class TagMismatch(SimError):
     pass
 
@@ -51,10 +47,6 @@ class WrongSessionKey(SimError):
 
 
 class ProfileMismatch(SimError):
-    pass
-
-
-class HandshakeTimeout(SimError):
     pass
 
 
@@ -206,9 +198,6 @@ class KeyRegistry:
         """Install the broadcast group key on a legitimate member node."""
         self.group_members.add(node)
 
-    def pair_key(self, a: int, b: int) -> bytes:
-        return _digest(self._root, "pair", min(a, b), max(a, b))
-
     def has_session(self, a: int, b: int) -> bool:
         return self.sealing_key_id(a, b) is not None
 
@@ -217,12 +206,11 @@ class KeyRegistry:
         the pair has a session."""
         return self._sessions.get((a, b) if a < b else (b, a))
 
-    def establish(self, a: int, b: int) -> bytes:
+    def establish(self, a: int, b: int) -> None:
         pair = (a, b) if a < b else (b, a)
         if pair not in self._sessions:
             key_id = self._sessions[pair] = f"{pair[0]}:{pair[1]}"
             self._pair_holders[key_id] = frozenset(pair)
-        return self.pair_key(a, b)
 
     def session_holders(self, key_id: str) -> Collection[int]:
         """The nodes that hold a sealing key: the live group membership for

