@@ -16,6 +16,7 @@ id and gated on that node's status and fault condition.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Optional
@@ -248,13 +249,21 @@ class _Failover:
 
 
 class Network:
-    """Wires the protocol onto an event kernel for one run."""
+    """Wires the protocol onto an event kernel for one run.
+
+    The engine owns the network: its ``on_deliver`` and ``on_timer`` are
+    the network's bound methods, and the network holds the engine only
+    weakly. A finished run is therefore no reference cycle, and reference
+    counting frees it once its last holder lets go. Whoever uses the
+    network keeps the engine too, as ``build_simulation`` and ``RunResult``
+    do; a network whose engine is gone raises SimError.
+    """
 
     def __init__(self, engine: Engine, *, nodes: list, profile: SecurityProfile,
                  keys: KeyRegistry, timers, payload_sensor_data: int = 120,
                  payload_status_broadcast: int = 120,
                  tota_time_step_ms: int = 30000, tota_skew_steps: int = 1):
-        self.engine = engine
+        self._engine_ref = weakref.ref(engine)
         self.profile = profile
         self.keys = keys
         self.timers = timers
@@ -318,6 +327,17 @@ class Network:
         engine.on_deliver = self._on_deliver
         engine.on_timer = self._on_timer
 
+    @property
+    def engine(self) -> Engine:
+        """The engine that runs this network. The per-event handlers
+        dereference the weak reference themselves, once each."""
+        engine = self._engine_ref()
+        if engine is None:
+            raise SimError("network is detached: its engine has been freed; "
+                           "keep the engine (or the RunResult) while the "
+                           "network is in use")
+        return engine
+
     # ------------------------------------------------------------ bootstrap
 
     def start(self) -> None:
@@ -365,13 +385,16 @@ class Network:
     def _transmit(self, kind, sender, receiver, subject, detail,
                   payload) -> None:
         """Wrap and send one message now; a payload not given is the
-        kind's filler, stamped with the current time."""
-        now = self.engine.now
+        kind's filler, stamped with the current time. A crashed sender
+        sends nothing, so its message is not built."""
+        engine = self._engine_ref()
+        if sender in engine.crashed:
+            return
+        now = engine.now
         if payload is None:
             payload = make_payload(kind, sender, now, self._payload_len[kind])
-        self.engine.send(security.wrap(self.profile, self.keys, kind, sender,
-                                       receiver, payload, now, subject,
-                                       detail))
+        engine.send(security.wrap(self.profile, self.keys, kind, sender,
+                                  receiver, payload, now, subject, detail))
 
     # ----------------------------------------------------------- handshakes
 
@@ -578,9 +601,10 @@ class Network:
                 or st.profile.role is not Role.ADMINISTRATOR
                 or st.profile.status is not NodeStatus.ACTIVE):
             return
+        engine = self._engine_ref()
         self._post(EnvelopeKind.STATUS_BROADCAST, node, BROADCAST)
-        self.engine.schedule_timer(
-            self.engine.now + self.timers.status_period_ms, node, "status", gen)
+        engine.schedule_timer(
+            engine.now + self.timers.status_period_ms, node, "status", gen)
 
     def _on_sensor_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
@@ -588,11 +612,12 @@ class Network:
                 or not is_lrn(st.profile.role)
                 or st.profile.status is not NodeStatus.ACTIVE):
             return
+        engine = self._engine_ref()
         target = st.known_admin if st.known_admin is not None else CMU_ID
         if target != node:
             self._post(EnvelopeKind.SENSOR_DATA, node, target)
-        self.engine.schedule_timer(
-            self.engine.now + self.timers.sensor_data_period_ms, node,
+        engine.schedule_timer(
+            engine.now + self.timers.sensor_data_period_ms, node,
             "sensor", gen)
 
     # -------------------------------------------------------------- monitors
@@ -614,8 +639,8 @@ class Network:
     def _arm_monitor(self, ms: MonitorState) -> None:
         gen = self._gen = self._gen + 1
         ms.gen = gen
-        self.engine.schedule_timer(ms.next_expected + ms.grace, ms.watcher,
-                                   ms.tag, gen)
+        self._engine_ref().schedule_timer(ms.next_expected + ms.grace,
+                                          ms.watcher, ms.tag, gen)
 
     def _drop_monitor(self, watcher: int, watched: int) -> None:
         self._monitor_map(watcher).pop(watched, None)
@@ -625,14 +650,17 @@ class Network:
             ms = self._cmu_monitors.get(watched)
             if ms is None or ms.gen != gen:
                 return
+            engine = self._engine_ref()
         else:
             wst = self.nodes[watcher]
             ms = wst.monitors.get(watched)
             if (ms is None or ms.gen != gen
-                    or wst.profile.status is not NodeStatus.ACTIVE
-                    or self.engine.is_crashed(watcher)):
+                    or wst.profile.status is not NodeStatus.ACTIVE):
                 return
-        notes = record_packet_outcome(ms, delivered=False, at=self.engine.now)
+            engine = self._engine_ref()
+            if watcher in engine.crashed:
+                return
+        notes = record_packet_outcome(ms, delivered=False, at=engine.now)
         ms.next_expected += ms.period
         self._arm_monitor(ms)
         for note in notes:
@@ -935,7 +963,7 @@ class Network:
         monitored = kind in MONITORED_KINDS
         at_cmu = _HANDLERS.get((kind, True))
         at_node = _HANDLERS.get((kind, False))
-        engine = self.engine
+        engine = self._engine_ref()
         now = engine.now
         schedule = engine.schedule
         crashed = engine.crashed

@@ -72,6 +72,26 @@ def test_send_delivers_after_latency():
     assert seen == [(25, EnvelopeKind.SENSOR_DATA)]
 
 
+def test_callbacks_are_read_at_each_event():
+    # run_until must not cache on_deliver or on_timer: a callback replaced
+    # by the handler of one event takes the next, even at the same time
+    eng = make_engine()
+    seen = []
+    eng.on_deliver = lambda env: seen.append(("old", eng.now))
+
+    def swap(owner, tag, data):
+        eng.on_deliver = lambda env: seen.append(("new", eng.now))
+        eng.on_timer = lambda owner, tag, data: seen.append((tag, eng.now))
+
+    eng.on_timer = swap
+    eng.send(data_env())
+    eng.schedule_timer(10, 1, "swap")
+    eng.send(data_env())
+    eng.schedule_timer(30, 1, "after")
+    eng.run_until(100)
+    assert seen == [("old", 10), ("new", 10), ("after", 30)]
+
+
 def test_send_to_unknown_receiver_rejected():
     eng = make_engine(nodes=(1, 2))
     with pytest.raises(UnknownReceiver):
