@@ -12,8 +12,8 @@ reach paths the bundled scenarios do not: per-receiver key failures on
 broadcasts, lossy and jittery links at fifty nodes, administrator failover,
 probing and reentry at 120 nodes, unregistered nodes among the receivers
 of a lossy 40-node network, signature tags longer than one blake2b
-digest, and directed links that override the default latency, jitter and
-loss.
+digest, directed links that override the default latency, jitter and
+loss, and jitter bounds on both sides of a power of two.
 """
 
 import argparse
@@ -125,6 +125,14 @@ def digest_cases():
            parse_scenario(_synthetic(
                "overrides-30", 30,
                overrides=_link_overrides(30, admin=27))), None)
+    # a jitter draw of 0..8 needs rejections (9 values in 4 bits) and one
+    # of 0..7 none (8 values in 3 bits), interleaved with loss draws
+    yield ("jitter-edge-20/auth-encap",
+           parse_scenario(_synthetic(
+               "jitter-edge-20", 20, loss=0.02, jitter_ms=8,
+               overrides=[{"src": 3, "dst": 16, "latency_ms": 10,
+                           "jitter_ms": 7, "loss_probability": 0.05}])),
+           None)
 
 
 def run_digest(cfg, profile) -> str:

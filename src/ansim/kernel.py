@@ -167,6 +167,7 @@ class Engine:
             self.now = at
             bucket = buckets[at]
             first = stats.dispatched
+            stamp = f"{at}\t"
             try:
                 for seq, body in bucket:
                     stats.dispatched += 1
@@ -176,13 +177,13 @@ class Engine:
                             recv = ("*" if body.receiver == BROADCAST
                                     else body.receiver)
                             trace.append(
-                                f"{at}\t{seq}\t{body.kind._value_}\t"
+                                f"{stamp}{seq}\t{body.kind._value_}\t"
                                 f"{body.sender}\t{recv}\t{body.wire_len}")
                         self.on_deliver(body)
                     elif cls is tuple and len(body) == 3:
                         owner, tag, data = body
                         if trace is not None:
-                            trace.append(f"{at}\t{seq}\ttimer/{tag}\t"
+                            trace.append(f"{stamp}{seq}\ttimer/{tag}\t"
                                          f"{owner}\t-\t0")
                         self.on_timer(owner, tag, data)
                     else:
@@ -213,6 +214,10 @@ class Engine:
         Returns True when a delivery was scheduled, False when the envelope
         was lost (radio defect or probabilistic loss). A crashed sender
         transmits nothing at all and nothing is recorded for it.
+
+        What a send takes from the generator: one ``random()`` on a lossy
+        link, then, if the envelope survives on a jittered link, exactly
+        the ``getrandbits`` draws of ``randint(0, jitter)``.
         """
         sender = env.sender
         receiver = env.receiver
@@ -257,8 +262,15 @@ class Engine:
             return False
 
         latency = spec.latency_ms
-        if spec.jitter_ms > 0:
-            latency += self.rng.randint(0, spec.jitter_ms)
+        span = spec.jitter_ms + 1
+        if span > 1:
+            # randint(0, jitter)'s draws, without its three Python frames
+            bits = span.bit_length()
+            draw = self.rng.getrandbits
+            extra = draw(bits)
+            while extra >= span:
+                extra = draw(bits)
+            latency += extra
         self.schedule(self.now + latency, env)
         if recorder is not None:
             recorder.record_send(seq, env, True)

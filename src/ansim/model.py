@@ -37,11 +37,11 @@ class Role(IdentityHashEnum):
     LOW_RANK = "low_rank"
 
 
-_LRN_ROLES = frozenset({Role.FIRE_SENSOR, Role.LOW_RANK})
+LRN_ROLES = frozenset({Role.FIRE_SENSOR, Role.LOW_RANK})
 
 
 def is_lrn(role: Role) -> bool:
-    return role in _LRN_ROLES
+    return role in LRN_ROLES
 
 
 class NodeStatus(IdentityHashEnum):

@@ -30,6 +30,7 @@ from .model import (
     Cause,
     Envelope,
     EnvelopeKind,
+    LRN_ROLES,
     Notification,
     NodeProfile,
     NodeStatus,
@@ -72,6 +73,11 @@ HANDSHAKE_MAX_RETRIES = 3
 # Kinds whose every delivery feeds the receiver's loss monitor of the sender.
 MONITORED_KINDS = frozenset({EnvelopeKind.SENSOR_DATA,
                              EnvelopeKind.STATUS_BROADCAST})
+
+# Kinds whose handler can act at only some receivers; see
+# Network._acting_receivers.
+PRUNED_KINDS = frozenset({EnvelopeKind.AUTHORIZATION_GRANT,
+                          EnvelopeKind.ROLE_ASSIGNMENT})
 
 # Fixed modeled payload sizes per kind; periodic data and status payloads
 # come from the scenario instead.
@@ -603,22 +609,21 @@ class Network:
             return
         engine = self._engine_ref()
         self._post(EnvelopeKind.STATUS_BROADCAST, node, BROADCAST)
-        engine.schedule_timer(
-            engine.now + self.timers.status_period_ms, node, "status", gen)
+        engine.schedule(engine.now + self.timers.status_period_ms,
+                        (node, "status", gen))
 
     def _on_sensor_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
         if (gen != st.duty_gen or not st.authorized
-                or not is_lrn(st.profile.role)
+                or st.profile.role not in LRN_ROLES
                 or st.profile.status is not NodeStatus.ACTIVE):
             return
         engine = self._engine_ref()
         target = st.known_admin if st.known_admin is not None else CMU_ID
         if target != node:
             self._post(EnvelopeKind.SENSOR_DATA, node, target)
-        engine.schedule_timer(
-            engine.now + self.timers.sensor_data_period_ms, node,
-            "sensor", gen)
+        engine.schedule(engine.now + self.timers.sensor_data_period_ms,
+                        (node, "sensor", gen))
 
     # -------------------------------------------------------------- monitors
 
@@ -941,11 +946,16 @@ class Network:
         re-entering only probes and role assignments. A monitored delivery
         resets the receiver's loss streak for the sender and re-arms its
         deadline here, without a handler.
+
+        Bootstrap kinds skip ``_readers``: every receiver reads them. Kinds
+        other than grants and role assignments skip ``_acting_receivers``:
+        every receiver's handler can act on them.
         """
         sender = env.sender
         kind = env.kind
-        readers = self._readers(env)
-        acting = self._acting_receivers(env)
+        readers = None if kind in BOOTSTRAP_KINDS else self._readers(env)
+        acting = (self._acting_receivers(env) if kind in PRUNED_KINDS
+                  else None)
         if env.receiver != BROADCAST:
             receivers = (env.receiver,)
             skip = None
@@ -1009,10 +1019,9 @@ class Network:
                 handler(self, env, receiver)
 
     def _readers(self, env: Envelope) -> Optional[Collection[int]]:
-        """Receivers that accept ``env``: None for every receiver, an empty
-        set when the envelope fails a check no receiver can pass."""
-        if env.kind in BOOTSTRAP_KINDS:
-            return None
+        """Receivers that accept the non-bootstrap ``env``: None for every
+        receiver, an empty set when the envelope fails a check no receiver
+        can pass."""
         try:
             security.unwrap(env, self.profile, self.keys)
         except security.SimError:
@@ -1028,15 +1037,14 @@ class Network:
 
         A grant acts only at its subject and at the administrator, and a
         role assignment that names no administrator acts only at its
-        subject; elsewhere their handlers return without effect.
+        subject; elsewhere their handlers return without effect. Called
+        for those two kinds only.
         """
-        kind = env.kind
-        if kind is EnvelopeKind.AUTHORIZATION_GRANT:
+        if env.kind is EnvelopeKind.AUTHORIZATION_GRANT:
             return (env.subject, self._admin_id)
-        if kind is EnvelopeKind.ROLE_ASSIGNMENT:
-            role, admin = env.detail
-            if role is not Role.ADMINISTRATOR and admin is None:
-                return (env.subject,)
+        role, admin = env.detail
+        if role is not Role.ADMINISTRATOR and admin is None:
+            return (env.subject,)
         return None
 
     def _on_warning(self, env: Envelope, receiver: int) -> None:

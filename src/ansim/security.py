@@ -62,7 +62,9 @@ class SecurityProfile:
 
     Variant invariants are normalized at construction: the plain profile has
     no signature and no handshake, the auth profile signs but never
-    encapsulates, and only auth-encap carries handshake parameters.
+    encapsulates, and only auth-encap carries handshake parameters. So
+    ``overhead``, what every non-bootstrap envelope adds to its payload, is
+    ``sig_len + encap_overhead`` under every profile.
     """
 
     kind: ProfileKind
@@ -70,6 +72,7 @@ class SecurityProfile:
     encap_overhead: int = 0
     handshake_msgs: int = 0
     handshake_msg_len: int = 0
+    overhead: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sig_len < 0 or self.encap_overhead < 0:
@@ -88,6 +91,7 @@ class SecurityProfile:
                     "auth-encap profile requires sig_len and encap_overhead")
             if self.handshake_msgs <= 0 or self.handshake_msg_len <= 0:
                 raise SimError("auth-encap profile requires handshake parameters")
+        object.__setattr__(self, "overhead", self.sig_len + self.encap_overhead)
 
     @classmethod
     def plain(cls) -> "SecurityProfile":
@@ -107,11 +111,7 @@ class SecurityProfile:
                    handshake_msg_len=handshake_msg_len)
 
     def wire_len_for(self, payload_len: int, kind_is_bootstrap: bool) -> int:
-        if kind_is_bootstrap or self.kind is ProfileKind.PLAIN:
-            return payload_len
-        if self.kind is ProfileKind.AUTH:
-            return payload_len + self.sig_len
-        return payload_len + self.sig_len + self.encap_overhead
+        return payload_len if kind_is_bootstrap else payload_len + self.overhead
 
 
 def _frame(part: object) -> bytes:
@@ -135,12 +135,15 @@ def _digest(key: bytes, *parts: object, size: int = 32) -> bytes:
     return _stretch(h.digest(), size)
 
 
-class _FrameTable(dict):
-    """Framed digest input per node id, built on first use."""
+class _Table(dict):
+    """``build(key)`` per key, built on first use."""
 
-    def __missing__(self, node: int) -> bytes:
-        frame = self[node] = _frame(node)
-        return frame
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 _KIND_FRAMES = {kind: _frame(kind._value_) for kind in EnvelopeKind}
@@ -171,8 +174,9 @@ class KeyRegistry:
         self._signing: dict[int, bytes] = {}
         # tag size -> node -> keyed state, only ever copied
         self._signers: dict[int, dict[int, object]] = {}
-        # node id -> its framed tag input
-        self.id_frames = _FrameTable()
+        # node id -> its framed tag input; length -> its 4-byte prefix
+        self.id_frames = _Table(_frame)
+        self.length_prefixes = _Table(lambda n: n.to_bytes(4, "big"))
         self.group_members: set[int] = {CMU_ID}
         self.group_key = _digest(self._root, "group")
 
@@ -229,10 +233,11 @@ def _tag_for(keys: KeyRegistry, sig_len: int, kind: EnvelopeKind,
     buffer by a copy of the sender's keyed state."""
     h = keys.signer(sender, sig_len).copy()
     ids = keys.id_frames
+    lengths = keys.length_prefixes
     sent = str(sent_at).encode()
     h.update(b"".join((_KIND_FRAMES[kind], ids[sender], ids[receiver],
-                       len(payload).to_bytes(4, "big"), payload,
-                       len(sent).to_bytes(4, "big"), sent)))
+                       lengths[len(payload)], payload, lengths[len(sent)],
+                       sent)))
     tag = h.digest()
     return tag if sig_len <= 64 else _stretch(tag, sig_len)
 
@@ -247,10 +252,11 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     Under auth-encap a unicast needs the pair's session (NoSessionKey
     otherwise) and a broadcast is sealed with the group key.
     """
-    is_boot = kind in BOOTSTRAP_KINDS
-    if is_boot or profile.kind is ProfileKind.PLAIN:
+    if kind in BOOTSTRAP_KINDS or profile.kind is ProfileKind.PLAIN:
         tag = key_id = None
+        overhead = 0
     else:
+        overhead = profile.overhead
         tag = _tag_for(keys, profile.sig_len, kind, sender, receiver,
                        payload, sent_at)
         if profile.kind is ProfileKind.AUTH:
@@ -263,8 +269,8 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
                 raise NoSessionKey(
                     f"no session key for pair ({sender}, {receiver})")
     return Envelope(kind, sender, receiver, payload, sent_at,
-                    profile.wire_len_for(len(payload), is_boot), subject,
-                    detail, profile.kind._value_, tag, key_id)
+                    len(payload) + overhead, subject, detail,
+                    profile.kind._value_, tag, key_id)
 
 
 def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,

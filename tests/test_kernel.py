@@ -1,6 +1,7 @@
 """Event kernel: ordering, links, loss, faults, trace."""
 
 import heapq
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,32 @@ def test_same_seed_same_schedule_under_loss():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_jitter_draw_is_randints_draw(seed, loss):
+    # Engine.send draws jitter with getrandbits itself; it must take exactly
+    # what Random.randint(0, jitter) takes, in order with the loss draws.
+    # Every jitter but 1, 3, 7 and 63 needs rejections (jitter + 1 is no
+    # power of two).
+    for jitter in (1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 1000):
+        eng = make_engine(seed=seed, latency=10, jitter=jitter, loss=loss)
+        ref = random.Random(seed)
+        arrived = {}
+        eng.on_deliver = lambda env, eng=eng: arrived.setdefault(
+            env.sent_at, eng.now)
+        expected = {}
+        for i in range(300):
+            if i % 100 == 50:
+                eng.run_until(eng.now + 1500)
+            kept = not (loss > 0 and ref.random() < loss)
+            if kept:
+                expected[i] = eng.now + 10 + ref.randint(0, jitter)
+            assert eng.send(data_env(at=i)) is kept
+        eng.run_until(eng.now + 2000)
+        assert arrived == expected
+        assert eng.rng.getstate() == ref.getstate()
 
 
 # ------------------------------------------------- callers that swap hooks

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ansim.model import (
+    BOOTSTRAP_KINDS,
     BROADCAST,
     CMU_ID,
     Cause,
@@ -99,6 +100,27 @@ def test_overhead_identity_for_any_payload(p):
     encap = PROFILES["auth-encap"].wire_len_for(p, False)
     assert encap - auth == 320
     assert auth - plain == 40
+
+
+@pytest.mark.parametrize("profile_name", list(PROFILES))
+def test_wrap_and_wire_len_for_share_one_rule(profile_name):
+    # wrap adds the profile's precomputed overhead; wire_len_for must agree
+    # for every kind, unicast and broadcast, from an empty payload to one
+    # whose length needs more than two bytes of its prefix
+    profile = PROFILES[profile_name]
+    keys = fresh_keys()
+    keys.establish(1, 2)
+    for kind in EnvelopeKind:
+        for receiver in (2, BROADCAST):
+            for length in (0, 1, 16, 120, 70000):
+                msg = msg_of(kind=kind, receiver=receiver, length=length)
+                wrapped = wrap(profile, keys, *msg, subject=3)
+                assert wrapped.wire_len == profile.wire_len_for(
+                    length, kind in BOOTSTRAP_KINDS)
+                if profile.sig_len:
+                    assert _tag_for(keys, profile.sig_len, *msg) == _digest(
+                        keys.signing_key(1), kind.value, 1, receiver,
+                        msg.payload, msg.sent_at, size=profile.sig_len)
 
 
 # ------------------------------------------------------------------ wrapping
