@@ -1,8 +1,7 @@
 """Command-line entry points: run, compare, validate.
 
-Exit codes classify the outcome: 0 for a clean run, 2 when a run hit the
-reassignment round limit (convergence failure), 1 for configuration or usage
-errors. Stdout carries exactly one JSON document; diagnostics go to stderr.
+Exit codes classify the outcome: 0 for a clean run, 1 for configuration or
+usage errors. Stdout carries exactly one JSON document; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def _cmd_run(args) -> int:
     out_text = (run_report_to_csv(result.report)
                 if args.format == "csv" else None)
     _emit(doc, args.out, out_text)
-    return 2 if result.report.convergence_failures else 0
+    return 0
 
 
 def _paper_case_comparison(args, seed: Optional[int]) -> ComparisonReport:
@@ -162,8 +161,7 @@ def _cmd_compare(args) -> int:
     doc = json.dumps(comp.to_json_dict(), indent=2)
     out_text = comp.to_csv() if args.format == "csv" else None
     _emit(doc, args.out, out_text)
-    failed = any(r.convergence_failures for r in comp.runs.values())
-    return 2 if failed else 0
+    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -179,8 +177,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; that code is reserved for
-        # convergence failures here
+        # argparse exits 2 on usage errors; every usage error exits 1 here
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

@@ -299,9 +299,6 @@ class Engine:
             state.defect_present = False
             state.drop_remaining = 0
 
-    def is_crashed(self, node: int) -> bool:
-        return node in self.crashed
-
     def is_responsive(self, node: int) -> bool:
         """A node answers diagnostics only while free of any injected defect."""
         state = self._faults.get(node)

@@ -95,7 +95,6 @@ class RunReport:
     messages_by_category: dict[str, int]
     notifications: list[Notification] = field(default_factory=list)
     role_changes: list[RoleChange] = field(default_factory=list)
-    convergence_failures: int = 0
     final_admin: Optional[int] = None
     supervising: bool = False
 
@@ -113,7 +112,6 @@ class RunReport:
             messages_by_category=dict(recorder.messages_by_category),
             notifications=list(network.notifications),
             role_changes=list(network.role_changes),
-            convergence_failures=network.convergence_failures,
             final_admin=network.admin_id,
             supervising=network.supervising)
 
@@ -136,7 +134,6 @@ class RunReport:
             },
             "notifications": [_notification_dict(n) for n in self.notifications],
             "role_changes": [_role_change_dict(rc) for rc in self.role_changes],
-            "convergence_failures": self.convergence_failures,
             "final_admin": self.final_admin,
             "supervising": self.supervising,
         }

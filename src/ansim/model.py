@@ -161,10 +161,10 @@ SUBJECT_KINDS = frozenset({
 class Envelope:
     """One message on the wire, built once per send by ``security.wrap``.
 
-    ``payload`` is modeled content; ``payload_len`` is always its length.
-    ``wire_len`` includes any signature and encapsulation overhead the
-    security layer adds. ``subject`` names the node a notification-style
-    envelope is about. ``detail`` is the small structured value that in a
+    ``payload`` is modeled content; its length is what accounting counts as
+    payload bytes. ``wire_len`` includes any signature and encapsulation
+    overhead the security layer adds. ``subject`` names the node a
+    notification-style envelope is about. ``detail`` is the small structured value that in a
     real implementation would be encoded inside the payload, typed by kind:
     a role assignment's ``(Role, admin id or None)``; the presented hardware
     id of an authorization request or grant, the nonce of a challenge or
@@ -199,10 +199,6 @@ class Envelope:
             sent_at=sent_at, wire_len=wire_len, subject=subject,
             detail=detail, profile_name=profile_name, tag=tag,
             sealed_key_id=sealed_key_id)
-
-    @property
-    def payload_len(self) -> int:
-        return len(self.payload)
 
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:

@@ -64,9 +64,6 @@ class DuplicateHardwareId(SimError):
 # answered.
 PROBE_INTERVAL_MS = 60000
 
-# Bound on reassignment passes within a single inspection invocation.
-MAX_ASSIGNMENT_ROUNDS = 10
-
 AUTH_MAX_ATTEMPTS = 3
 HANDSHAKE_MAX_RETRIES = 3
 
@@ -246,7 +243,6 @@ class _Handshake:
 @dataclass
 class _Failover:
     old_admin: int
-    phase: str = "measure"  # measure | confirm
     gen: int = 0
     started_at: int = 0
     pending: dict[int, Optional[int]] = field(default_factory=dict)
@@ -298,7 +294,6 @@ class Network:
         self.notifications: list[Notification] = []
         self.role_changes: list[RoleChange] = []
         self.succession_tables: list[SuccessionTable] = []
-        self.convergence_failures = 0
 
         self.tota = TotaState(
             secret=keys.signing_key(CMU_ID) + b"/network",
@@ -310,10 +305,9 @@ class Network:
         self._granted_hw: dict[int, int] = {}
         self._rejected: set[int] = set()
         self._pending_challenge: dict[int, tuple[int, int]] = {}
-        self._outstanding: dict[int, int] = {}
-        self._round_active = False
-        self._rounds_used = 0
         self._failover: Optional[_Failover] = None
+        # alerted nodes whose removal waits for the running failover
+        self._alerted: list[int] = []
         self._demoted: set[int] = set()
         self._probing: dict[int, int] = {}
         self._supervising = False
@@ -691,50 +685,28 @@ class Network:
     def _ingest(self, note: Notification) -> None:
         self.notifications.append(note)
         if note.severity is Severity.ALERT and note.cause is Cause.TRIPLE_LOSS:
-            self._handle_alert(note.subject, note.at)
+            self._handle_alert(note.subject)
 
-    def _handle_alert(self, subject: int, at: int) -> None:
+    def _handle_alert(self, subject: int) -> None:
+        """Act on one loss alert: an alert about the administrator starts
+        succession, one about any other node removes it. While a failover
+        runs, the removal waits until the failover ends."""
         st = self.nodes.get(subject)
         if st is None or st.profile.status is not NodeStatus.ACTIVE:
             return
-        if subject in self._outstanding:
-            return
-        self._outstanding[subject] = at
-        self._maybe_start_round()
-
-    # -------------------------------------------------- reassignment rounds
-
-    def _maybe_start_round(self) -> None:
-        if self._round_active or not self._outstanding:
-            return
-        self._round_active = True
-        self._rounds_used = 0
-        self._round_admin_phase()
-
-    def _round_admin_phase(self) -> None:
-        self._rounds_used += 1
-        if self._rounds_used > MAX_ASSIGNMENT_ROUNDS:
-            self.convergence_failures += 1
-            self._outstanding.clear()
-            self._round_active = False
-            return
-        admin = self._admin_id
-        if admin is not None and admin in self._outstanding:
-            self._begin_admin_failover(admin)
+        if self._failover is not None:
+            self._alerted.append(subject)
+        elif subject == self._admin_id:
+            self._begin_admin_failover(subject)
         else:
-            self._round_sensor_phase()
-
-    def _round_sensor_phase(self) -> None:
-        for subject in list(self._outstanding):
-            del self._outstanding[subject]
             self._remove_node(subject)
-        self._round_reinspect()
 
-    def _round_reinspect(self) -> None:
-        if self._outstanding:
-            self._round_admin_phase()
-        else:
-            self._round_active = False
+    def _remove_alerted(self) -> None:
+        """Remove the nodes alerted about during the failover that just
+        ended, in alert order."""
+        alerted, self._alerted = self._alerted, []
+        for subject in alerted:
+            self._remove_node(subject)
 
     # ---------------------------------------------------- removal / probing
 
@@ -804,7 +776,6 @@ class Network:
     # ------------------------------------------------------------- failover
 
     def _begin_admin_failover(self, old_admin: int) -> None:
-        self._outstanding.pop(old_admin, None)
         self._admin_id = None
         self._remove_node(old_admin)
         # a demoted former administrator stays in the low rank for good, so
@@ -828,7 +799,7 @@ class Network:
 
     def _on_rtt_timeout(self, _owner: int, _arg: None, gen: int) -> None:
         fo = self._failover
-        if fo is None or fo.phase != "measure" or fo.gen != gen:
+        if fo is None or fo.gen != gen:
             return
         self._measurement_done()
 
@@ -836,8 +807,9 @@ class Network:
         fo = self._failover
         table = SuccessionTable.from_measurements(fo.pending)
         self.succession_tables.append(table)
+        # a late rtt pong finds no entry from here on
+        fo.pending = {}
         fo.queue = table.responsive_candidates()
-        fo.phase = "confirm"
         self._confirm_next()
 
     def _confirm_next(self) -> None:
@@ -858,7 +830,7 @@ class Network:
 
     def _on_confirm_timeout(self, _owner: int, _arg: None, gen: int) -> None:
         fo = self._failover
-        if fo is None or fo.phase != "confirm" or fo.gen != gen:
+        if fo is None or fo.gen != gen:
             return
         fo.confirm_target = None
         self._confirm_next()
@@ -872,15 +844,14 @@ class Network:
         fo = self._failover
         if fo is None:
             return
-        if purpose == "rtt" and fo.phase == "measure":
+        if purpose == "rtt":
             if sender in fo.pending and fo.pending[sender] is None:
                 fo.pending[sender] = self.engine.now - fo.started_at
                 if all(v is not None for v in fo.pending.values()):
                     fo.gen = self._next_gen()
                     self._measurement_done()
-        elif purpose == "confirm" and fo.phase == "confirm":
-            if sender == fo.confirm_target:
-                self._promote(sender)
+        elif purpose == "confirm" and sender == fo.confirm_target:
+            self._promote(sender)
 
     def _promote(self, successor: int) -> None:
         fo = self._failover
@@ -907,7 +878,7 @@ class Network:
         self._post(EnvelopeKind.INFO_MESSAGE, CMU_ID, BROADCAST,
                    subject=successor, detail="new-admin")
         self._failover = None
-        self._round_sensor_phase()
+        self._remove_alerted()
 
     def _no_candidate(self) -> None:
         fo = self._failover
@@ -922,7 +893,7 @@ class Network:
                 self._watch_sensor(CMU_ID, member)
         self._post(EnvelopeKind.INFO_MESSAGE, CMU_ID, BROADCAST,
                    subject=fo.old_admin, detail="cmu-supervision")
-        self._round_sensor_phase()
+        self._remove_alerted()
 
     def _log_role_change(self, node: int, from_role: Optional[Role],
                          to_role: Role, reason: RoleChangeReason) -> None:
@@ -1120,7 +1091,8 @@ class Network:
         self._bootstrap()
 
     def _on_inspect_timer(self, _owner: int, _arg: None, _data: int) -> None:
-        self._maybe_start_round()
+        # starts nothing: alerts are acted on as they arrive, and the timer
+        # only keeps its place in the event sequence and the trace
         self.engine.schedule_timer(
             self.engine.now + self.timers.inspection_period_ms, CMU_ID,
             "inspect")

@@ -56,9 +56,8 @@ def run_scenario(cfg: ScenarioConfig, *, profile: Optional[str] = None,
     engine, network, recorder, trace = build_simulation(
         cfg, profile=profile, seed=seed, with_trace=with_trace)
     engine.run_until(cfg.duration_ms)
-    prof = cfg.security_profile(profile)
     report = RunReport.from_run(
-        scenario=cfg.name, profile=prof.kind.value,
+        scenario=cfg.name, profile=network.profile.kind.value,
         seed=cfg.seed if seed is None else seed,
         duration_ms=cfg.duration_ms, recorder=recorder, network=network)
     return RunResult(report=report, trace=trace if trace is not None else [],

@@ -9,7 +9,7 @@ an identical value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -248,16 +248,12 @@ def _parse_timers(data: Any, errors: list[str]) -> TimersConfig:
         errors.append("timers: expected an object")
         return TimersConfig()
     r = _Reader(data, "timers", errors)
-    d = TimersConfig()
     values = {}
-    for name, default in (("status_period_ms", d.status_period_ms),
-                          ("sensor_data_period_ms", d.sensor_data_period_ms),
-                          ("inspection_period_ms", d.inspection_period_ms),
-                          ("rtt_timeout_ms", d.rtt_timeout_ms)):
-        value = r.take(name, int, default=default)
+    for f in fields(TimersConfig):
+        value = r.take(f.name, int, default=f.default)
         if value <= 0:
-            r.err(name, f"must be > 0, got {value}")
-        values[name] = value
+            r.err(f.name, f"must be > 0, got {value}")
+        values[f.name] = value
     r.finish()
     return TimersConfig(**values)
 
@@ -269,24 +265,18 @@ def _parse_security(data: Any, errors: list[str]) -> SecurityConfig:
         errors.append("security: expected an object")
         return SecurityConfig()
     r = _Reader(data, "security", errors)
-    d = SecurityConfig()
-    profile = r.take("profile", str, default=d.profile)
+    # the profile name comes first; every other field is an integer
+    profile_field, *int_fields = fields(SecurityConfig)
+    profile = r.take("profile", str, default=profile_field.default)
     if profile not in PROFILE_NAMES:
         r.err("profile", f"must be one of {list(PROFILE_NAMES)}, got {profile!r}")
-        profile = d.profile
+        profile = profile_field.default
     values = {}
-    for name, default in (("sig_len", d.sig_len),
-                          ("encap_overhead", d.encap_overhead),
-                          ("handshake_msgs", d.handshake_msgs),
-                          ("handshake_msg_len", d.handshake_msg_len),
-                          ("tota_time_step_ms", d.tota_time_step_ms),
-                          ("tota_skew_steps", d.tota_skew_steps),
-                          ("payload_sensor_data", d.payload_sensor_data),
-                          ("payload_status_broadcast", d.payload_status_broadcast)):
-        value = r.take(name, int, default=default)
+    for f in int_fields:
+        value = r.take(f.name, int, default=f.default)
         if value < 0:
-            r.err(name, f"must be >= 0, got {value}")
-        values[name] = value
+            r.err(f.name, f"must be >= 0, got {value}")
+        values[f.name] = value
     r.finish()
     if values["tota_time_step_ms"] <= 0:
         r.err("tota_time_step_ms", "must be > 0")
@@ -414,33 +404,9 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
              if v is not None}
             for n in cfg.nodes
         ],
-        "links": {
-            "latency_ms": cfg.links.latency_ms,
-            "jitter_ms": cfg.links.jitter_ms,
-            "loss_probability": cfg.links.loss_probability,
-            "overrides": [
-                {"src": o.src, "dst": o.dst, "latency_ms": o.latency_ms,
-                 "jitter_ms": o.jitter_ms, "loss_probability": o.loss_probability}
-                for o in cfg.links.overrides
-            ],
-        },
-        "timers": {
-            "status_period_ms": cfg.timers.status_period_ms,
-            "sensor_data_period_ms": cfg.timers.sensor_data_period_ms,
-            "inspection_period_ms": cfg.timers.inspection_period_ms,
-            "rtt_timeout_ms": cfg.timers.rtt_timeout_ms,
-        },
-        "security": {
-            "profile": cfg.security.profile,
-            "sig_len": cfg.security.sig_len,
-            "encap_overhead": cfg.security.encap_overhead,
-            "handshake_msgs": cfg.security.handshake_msgs,
-            "handshake_msg_len": cfg.security.handshake_msg_len,
-            "tota_time_step_ms": cfg.security.tota_time_step_ms,
-            "tota_skew_steps": cfg.security.tota_skew_steps,
-            "payload_sensor_data": cfg.security.payload_sensor_data,
-            "payload_status_broadcast": cfg.security.payload_status_broadcast,
-        },
+        "links": asdict(cfg.links),
+        "timers": asdict(cfg.timers),
+        "security": asdict(cfg.security),
         "faults": [
             {k: v for k, v in (("target", f.target), ("kind", f.kind),
                                ("at_ms", f.at_ms), ("n", f.n))

@@ -63,7 +63,7 @@ def test_run_report_json_shape():
     doc = run_case1().report.to_json_dict()
     assert list(doc) == ["scenario", "profile", "seed", "duration_ms",
                          "messages", "bytes", "notifications", "role_changes",
-                         "convergence_failures", "final_admin", "supervising"]
+                         "final_admin", "supervising"]
     assert doc["scenario"] == "paper-case1"
     assert doc["profile"] == "plain"
     assert doc["messages"]["sent"] \

@@ -79,7 +79,7 @@ def test_envelope_subject_requirement():
     env = Envelope(kind=EnvelopeKind.WARNING, sender=2, receiver=CMU_ID,
                    payload=b"x" * 32, sent_at=100, subject=5)
     assert env.subject == 5
-    assert env.payload_len == 32
+    assert len(env.payload) == 32
     assert env.receiver != BROADCAST
     bc = Envelope(kind=EnvelopeKind.STATUS_BROADCAST, sender=1,
                   receiver=BROADCAST, payload=b"y" * 8, sent_at=0)

@@ -42,6 +42,7 @@ from ansim.scenario import (
     NodeSpec,
     ScenarioConfig,
     SecurityConfig,
+    TimersConfig,
     builtin_scenario_names,
     load_scenario,
 )
@@ -241,7 +242,6 @@ def test_initial_grant_flow():
                if rc.reason is RoleChangeReason.INITIAL_ASSIGNMENT]
     assert [rc.node for rc in initial] == [3, 1, 2]
     assert net.notifications == []
-    assert net.convergence_failures == 0
 
 
 def test_succession_measured_over_live_links():
@@ -358,6 +358,31 @@ def test_confirm_timeout_moves_on_to_the_next_candidate():
                   if rc.reason is RoleChangeReason.ADMIN_FAILOVER]
     assert promotions == [(3, 73385)]
     assert net.admin_id == 3
+
+
+@pytest.mark.parametrize("profile", ["plain", "auth"])
+def test_alert_during_failover_removes_its_subject_when_failover_ends(
+        profile):
+    # node 3 crashes and administrator 1 stops sending; node 2 alerts about
+    # node 1 first, and node 1's alert about node 3 arrives while the
+    # failover it started is measuring, so node 3 is removed only once
+    # node 2 is promoted
+    faults = [FaultEntry(target=3, kind="crash", at_ms=15000),
+              FaultEntry(target=1, kind="drop_next_n", at_ms=21000, n=100)]
+    cfg = dataclasses.replace(
+        make_cfg(3, powers=[200, 100, 100], faults=faults,
+                 duration_ms=60000, profile=profile),
+        timers=TimersConfig(status_period_ms=6799))
+    net = run_scenario(cfg).network
+    events = [(n.cause, n.subject, n.at) for n in net.notifications
+              if n.severity is not Severity.WARNING]
+    assert events == [(Cause.TRIPLE_LOSS, 1, 42543),
+                      (Cause.REMOVAL, 1, 42553),
+                      (Cause.TRIPLE_LOSS, 3, 42550),
+                      (Cause.ADMIN_FAILOVER, 2, 44573),
+                      (Cause.REMOVAL, 3, 44573)]
+    assert net.admin_id == 2
+    assert net.nodes[3].profile.status is NodeStatus.REMOVED
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)
