@@ -13,19 +13,32 @@ broadcasts, lossy and jittery links at fifty nodes, administrator failover,
 probing and reentry at 120 nodes, unregistered nodes among the receivers
 of a lossy 40-node network, signature tags longer than one blake2b
 digest, directed links that override the default latency, jitter and
-loss, and jitter bounds on both sides of a power of two.
+loss, jitter bounds on both sides of a power of two, and a sensor that
+crashes after a failover.
+
+The simulator is imported from ``src/`` of the checkout this file sits in,
+whatever ``PYTHONPATH`` or an installed ``ansim`` would provide.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import pathlib
 import sys
 
-from ansim.runner import PROFILE_ORDER, run_scenario
-from ansim.scenario import builtin_scenario_names, load_scenario, parse_scenario
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+from ansim.runner import PROFILE_ORDER, run_scenario  # noqa: E402
+from ansim.scenario import (  # noqa: E402
+    FaultEntry,
+    builtin_scenario_names,
+    load_scenario,
+    parse_scenario,
+)
+
+DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_SCENARIOS = ("fire-sensor-dropout",)
 DIGESTS_FILE = DATA_DIR / "golden_digests.json"
 
@@ -133,6 +146,12 @@ def digest_cases():
                overrides=[{"src": 3, "dst": 16, "latency_ms": 10,
                            "jitter_ms": 7, "loss_probability": 0.05}])),
            None)
+    # node 5 crashes after node 2 succeeded the administrator, so only a
+    # successor that watches every member removes it
+    failover = load_scenario("admin-failover")
+    yield ("admin-failover-crash-5/plain",
+           dataclasses.replace(failover, faults=failover.faults + (
+               FaultEntry(target=5, kind="crash", at_ms=210000),)), None)
 
 
 def run_digest(cfg, profile) -> str:

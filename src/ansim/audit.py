@@ -10,9 +10,11 @@ found no candidate and the management unit took over supervision.
 
 from __future__ import annotations
 
+from .kernel import FaultKind
 from .metrics import RunReport
 from .model import Cause, Role, Severity
 from .protocol import PROBE_INTERVAL_MS, RoleChangeReason
+from .scenario import ScenarioConfig
 
 
 def audit_admin_uniqueness(report: RunReport) -> list[str]:
@@ -128,6 +130,72 @@ def audit_probe_cadence(trace: list[str],
             problems.append(
                 f"probe spacing to node {target} was {at - prev} ms at t={at}")
     return problems
+
+
+def removal_bound_ms(cfg: ScenarioConfig) -> int:
+    """How long a crashed node may stay unremoved, from the scenario's
+    timers and links.
+
+    ``watch(P) = 3P + P/4 + L`` is how long a monitor of period ``P`` takes
+    to miss three packets after its last delivery and get its alert to
+    the management unit, where ``L`` is the longest one-way latency plus
+    jitter of any link. The worst case with one failover is a node that
+    crashes while its administrator is about to alert on it, and an
+    administrator that crashes just before its third miss:
+
+    - the administrator's watch of the node runs out unreported,
+      ``watch(P_sensor)``;
+    - the sensors miss three status broadcasts, ``watch(P_status)``;
+    - succession measures round-trip times for at most ``R``, the
+      ``rtt_timeout_ms``, and confirms a candidate within ``2R``, one
+      confirm timing out;
+    - the successor's assignment reaches it, ``L``, and it watches the
+      node anew, ``watch(P_sensor)``.
+
+    So the bound is ``2 watch(P_sensor) + watch(P_status) + 3R + L``. Back
+    to back failovers can take longer.
+    """
+    links = cfg.links
+    latency = max([links.latency_ms + links.jitter_ms]
+                  + [o.latency_ms + o.jitter_ms for o in links.overrides])
+    timers = cfg.timers
+
+    def watch(period: int) -> int:
+        return 3 * period + period // 4 + latency
+
+    return (2 * watch(timers.sensor_data_period_ms)
+            + watch(timers.status_period_ms)
+            + 3 * timers.rtt_timeout_ms + latency)
+
+
+def audit_crashed_nodes_removed(report: RunReport,
+                                cfg: ScenarioConfig) -> list[str]:
+    """A registered node that crashed for good ends the run removed.
+
+    A node crashed for good when no restore follows its last crash and that
+    crash lies more than ``removal_bound_ms(cfg)`` before the end of the
+    run. It ends removed when the last removal or reentry notification
+    about it is a removal. A registered node that never got its grant
+    through is no member and is never removed, so it fails this audit too.
+    """
+    crashed_at: dict[int, int] = {}
+    for fault in sorted(cfg.fault_specs(), key=lambda f: f.at):
+        if fault.kind is FaultKind.CRASH:
+            crashed_at[fault.target] = fault.at
+        elif fault.kind is FaultKind.RESTORE:
+            crashed_at.pop(fault.target, None)
+    removed: dict[int, bool] = {}
+    for note in report.notifications:
+        if note.cause is Cause.REMOVAL:
+            removed[note.subject] = True
+        elif note.cause is Cause.REENTRY:
+            removed[note.subject] = False
+    deadline = cfg.duration_ms - removal_bound_ms(cfg)
+    registered = {n.id for n in cfg.nodes if n.registered}
+    return [f"node {node} crashed at t={at} and was never removed"
+            for node, at in sorted(crashed_at.items())
+            if at < deadline and node in registered
+            and not removed.get(node, False)]
 
 
 def run_all(report: RunReport, trace: list[str] | None = None) -> list[str]:

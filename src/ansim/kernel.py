@@ -118,8 +118,8 @@ class Engine:
         # ids of the nodes crashed and not yet restored; read, never written,
         # outside the kernel
         self.crashed: set[int] = set()
-        # test hook: (sender, receiver) -> number of upcoming sends to lose
-        self._forced_losses: dict[tuple[int, int], int] = {}
+        # test hook: sequence numbers of the sends to lose; see force_lose
+        self._forced_losses: set[int] = set()
         self.on_deliver: Callable[[Envelope], None] = lambda env: None
         self.on_timer: Callable[[int, str, int], None] = lambda o, t, d: None
 
@@ -240,17 +240,11 @@ class Engine:
             return False
 
         forced = self._forced_losses
-        if forced:
-            pair = (sender, receiver)
-            left = forced.get(pair, 0)
-            if left > 0:
-                if left == 1:
-                    del forced[pair]
-                else:
-                    forced[pair] = left - 1
-                if recorder is not None:
-                    recorder.record_send(seq, env, False)
-                return False
+        if forced and seq in forced:
+            forced.remove(seq)
+            if recorder is not None:
+                recorder.record_send(seq, env, False)
+            return False
 
         links = self.links
         spec = (links.spec(sender, receiver) if links.overrides
@@ -276,10 +270,11 @@ class Engine:
             recorder.record_send(seq, env, True)
         return True
 
-    def force_lose_next(self, sender: int, receiver: int, count: int = 1) -> None:
-        """Fault-injection hook: lose the next ``count`` sends on a pair."""
-        self._forced_losses[(sender, receiver)] = (
-            self._forced_losses.get((sender, receiver), 0) + count)
+    def force_lose(self, *seqs: int) -> None:
+        """Fault-injection hook: lose the sends numbered ``seqs``. Sends are
+        numbered from 1 in the order they are made, as the recorder sees
+        them; a crashed sender's attempts take no number."""
+        self._forced_losses.update(seqs)
 
     # ---------------------------------------------------------------- faults
 

@@ -3,11 +3,18 @@ authorization, packet-loss monitoring with warning/alert escalation,
 administrator succession by round-trip time, node removal with diagnostic
 probing, and reentry at the lowest rank.
 
-The watch topology is deliberately minimal: the administrator maintains a
-monitor for every low-rank node's periodic sensor data, and every low-rank
-node maintains a monitor for the administrator's periodic status broadcast.
-Monitors detect a missed packet when its expected arrival plus a grace window
-(a quarter of the period) passes without a delivery.
+One watch plan, ``Network._watch_plan``, says who monitors whom, from what
+each watcher was told: a sensor watches the status broadcast of its
+``known_admin`` until it hears that administrator removed; the
+administrator watches the sensor data of the members on its roster, which
+it takes from the management unit when it takes office (the initial one at
+its own grant, a successor at its administrator assignment) and then keeps
+by the grants, reentries and removals it hears; the management unit
+watches the granted nodes it has not removed, but only while it
+supervises. ``Network._sync_watches`` alone creates and drops monitors, to
+match one watcher's plan, wherever a role, a status, a roster or a known
+administrator changes. A monitor detects a missed packet when its expected
+arrival plus a grace window (a quarter of the period) passes without one.
 
 Node state is held centrally by the Network object; behaviour that in a real
 deployment would be node-local (timers, monitor bookkeeping) is keyed by node
@@ -227,6 +234,8 @@ class NodeState:
     registered: bool = True
     authorized: bool = False
     known_admin: Optional[int] = None
+    admin_removed: bool = False  # heard known_admin removed since told of it
+    roster: list[int] = field(default_factory=list)  # watched as administrator
     duty_gen: int = 0
     monitors: dict[int, MonitorState] = field(default_factory=dict)
 
@@ -349,6 +358,7 @@ class Network:
         changes = assign_initial_roles(
             [st.profile for st in self.nodes.values()], at=self.engine.now)
         for change in changes:
+            # no node is authorized yet, so no watch plan changes here
             st = self.nodes[change.node]
             st.profile = st.profile.with_role(change.to_role)
             self.role_changes.append(change)
@@ -536,28 +546,27 @@ class Network:
                    subject=node, detail=hw)
         if self.profile.kind is ProfileKind.AUTH_ENCAP:
             self._ensure_handshake(CMU_ID, node)
+        self._sync_watches(CMU_ID)
 
     def _on_auth_grant(self, env: Envelope, receiver: int) -> None:
-        subject = env.subject
-        if subject is None:
-            return
-        st = self.nodes.get(receiver)
-        if st is None:
-            return
-        if receiver == subject:
+        st = self.nodes[receiver]
+        if receiver == env.subject:
             st.authorized = True
             self._start_duties(receiver)
-            if receiver == self._admin_id:
-                # watch every member that was granted before we were
-                for member in self._granted:
-                    if member != receiver:
-                        self._watch_sensor(receiver, member)
-        elif receiver == self._admin_id and st.authorized:
-            self._watch_sensor(receiver, subject)
+        elif st.profile.role is Role.ADMINISTRATOR:
+            self._enrol(receiver, env.subject)
+
+    def _enrol(self, admin: int, member: int) -> None:
+        """The administrator heard ``member`` join or return: watch it anew."""
+        roster = self.nodes[admin].roster
+        if member not in roster:
+            roster.append(member)
+        self._sync_watches(admin, restart=member)
 
     # --------------------------------------------------------------- duties
 
     def _start_duties(self, node: int) -> None:
+        """Start an authorized node's sends; an administrator takes office."""
         st = self.nodes[node]
         if not st.authorized:
             return
@@ -566,34 +575,20 @@ class Network:
         if st.profile.status is not NodeStatus.ACTIVE:
             return
         st.duty_gen += 1
-        role = st.profile.role
-        if role is Role.ADMINISTRATOR:
-            st.monitors.clear()
+        if st.profile.role is Role.ADMINISTRATOR:
+            st.roster = [m for m in self._members() if m != node]
             self.engine.schedule_timer(self.engine.now, node, "status",
                                        st.duty_gen)
-        elif is_lrn(role):
-            st.monitors.clear()
+        else:
             self.engine.schedule_timer(
                 self.engine.now + self.timers.sensor_data_period_ms, node,
                 "sensor", st.duty_gen)
-            self._watch_admin(node)
+        self._sync_watches(node)
 
-    def _watch_admin(self, node: int) -> None:
-        st = self.nodes[node]
-        target = st.known_admin
-        if target is None or target == node or target == CMU_ID:
-            return
-        self._create_monitor(node, target, EnvelopeKind.STATUS_BROADCAST,
-                             self.timers.status_period_ms)
-
-    def _watch_sensor(self, watcher: int, watched: int) -> None:
-        wst = self.nodes.get(watched)
-        if wst is None or not is_lrn(wst.profile.role):
-            return
-        if wst.profile.status is NodeStatus.REMOVED:
-            return
-        self._create_monitor(watcher, watched, EnvelopeKind.SENSOR_DATA,
-                             self.timers.sensor_data_period_ms)
+    def _members(self) -> list[int]:
+        """The management unit's roster: granted nodes not removed."""
+        return [m for m in self._granted
+                if self.nodes[m].profile.status is not NodeStatus.REMOVED]
 
     def _on_status_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
@@ -621,28 +616,49 @@ class Network:
 
     # -------------------------------------------------------------- monitors
 
-    def _monitor_map(self, watcher: int) -> dict[int, MonitorState]:
+    def _watch_plan(self, watcher: int) -> tuple[EnvelopeKind, Collection[int]]:
+        """The kind ``watcher`` watches through and whom, in creation order;
+        an unauthorized or inactive node watches nobody."""
         if watcher == CMU_ID:
-            return self._cmu_monitors
-        return self.nodes[watcher].monitors
+            return (EnvelopeKind.SENSOR_DATA,
+                    self._members() if self._supervising else ())
+        st = self.nodes[watcher]
+        if not st.authorized or st.profile.status is not NodeStatus.ACTIVE:
+            return EnvelopeKind.SENSOR_DATA, ()
+        if st.profile.role is Role.ADMINISTRATOR:
+            return EnvelopeKind.SENSOR_DATA, st.roster
+        admin = st.known_admin
+        if admin is None or admin in (watcher, CMU_ID) or st.admin_removed:
+            return EnvelopeKind.STATUS_BROADCAST, ()
+        return EnvelopeKind.STATUS_BROADCAST, (admin,)
 
-    def _create_monitor(self, watcher: int, watched: int, kind: EnvelopeKind,
-                        period: int) -> None:
-        ms = MonitorState(watcher=watcher, watched=watched, kind=kind,
-                          period=period, grace=period // 4,
-                          next_expected=self.engine.now + period,
-                          tag=self._node_tag("mon", watched))
-        self._monitor_map(watcher)[watched] = ms
-        self._arm_monitor(ms)
+    def _sync_watches(self, watcher: int,
+                      restart: Optional[int] = None) -> None:
+        """Drop and create ``watcher``'s monitors to match its plan, in plan
+        order; ``restart`` is watched anew if the plan still lists it."""
+        kind, watched = self._watch_plan(watcher)
+        monitors = (self._cmu_monitors if watcher == CMU_ID
+                    else self.nodes[watcher].monitors)
+        if restart is not None:
+            monitors.pop(restart, None)
+        for gone in monitors.keys() - watched:
+            del monitors[gone]
+        period = (self.timers.sensor_data_period_ms
+                  if kind is EnvelopeKind.SENSOR_DATA
+                  else self.timers.status_period_ms)
+        for node in watched:
+            if node not in monitors:
+                ms = monitors[node] = MonitorState(
+                    watcher=watcher, watched=node, kind=kind, period=period,
+                    grace=period // 4, next_expected=self.engine.now + period,
+                    tag=self._node_tag("mon", node))
+                self._arm_monitor(ms)
 
     def _arm_monitor(self, ms: MonitorState) -> None:
         gen = self._gen = self._gen + 1
         ms.gen = gen
         self._engine_ref().schedule_timer(ms.next_expected + ms.grace,
                                           ms.watcher, ms.tag, gen)
-
-    def _drop_monitor(self, watcher: int, watched: int) -> None:
-        self._monitor_map(watcher).pop(watched, None)
 
     def _on_monitor_deadline(self, watcher: int, watched: int, gen: int) -> None:
         if watcher == CMU_ID:
@@ -716,7 +732,8 @@ class Network:
             return
         st.profile = st.profile.with_status(NodeStatus.REMOVED)
         st.duty_gen += 1
-        st.monitors.clear()
+        self._sync_watches(subject)
+        self._sync_watches(CMU_ID)
         self._notify(Severity.INFO, Cause.REMOVAL, subject=subject,
                      reporter=CMU_ID)
         self._post(EnvelopeKind.REMOVAL_NOTICE, CMU_ID, BROADCAST,
@@ -757,21 +774,15 @@ class Network:
             self._reject(node)
             return
         st.profile = st.profile.with_status(NodeStatus.REENTERING)
-        self._log_role_change(node, st.profile.role, Role.LOW_RANK,
-                              RoleChangeReason.REENTRY)
-        st.profile = st.profile.with_role(Role.LOW_RANK)
+        self._change_role(node, Role.LOW_RANK, RoleChangeReason.REENTRY)
         admin = self._admin_id if self._admin_id is not None else CMU_ID
-        st.known_admin = admin
         self._notify(Severity.INFO, Cause.REENTRY, subject=node,
                      reporter=CMU_ID)
         self._post(EnvelopeKind.ROLE_ASSIGNMENT, CMU_ID, node, subject=node,
                    detail=(Role.LOW_RANK, admin))
         self._post(EnvelopeKind.INFO_MESSAGE, CMU_ID, BROADCAST, subject=node,
                    detail="reentry")
-        if self._supervising:
-            # no administrator to pick the returnee up, so the management
-            # unit keeps watching it directly
-            self._watch_sensor(CMU_ID, node)
+        self._sync_watches(CMU_ID)
 
     # ------------------------------------------------------------- failover
 
@@ -854,23 +865,16 @@ class Network:
             self._promote(sender)
 
     def _promote(self, successor: int) -> None:
+        """Hand the role over; the successor takes office at its assignment."""
         fo = self._failover
-        old = fo.old_admin
-        old_st = self.nodes[old]
-        self._log_role_change(old, old_st.profile.role, Role.LOW_RANK,
-                              RoleChangeReason.DEMOTION)
-        old_st.profile = old_st.profile.with_role(Role.LOW_RANK)
-        self._demoted.add(old)
-
-        succ_st = self.nodes[successor]
-        self._log_role_change(successor, succ_st.profile.role,
-                              Role.ADMINISTRATOR,
-                              RoleChangeReason.ADMIN_FAILOVER)
-        succ_st.profile = succ_st.profile.with_role(Role.ADMINISTRATOR)
-        succ_st.known_admin = successor
+        self._change_role(fo.old_admin, Role.LOW_RANK,
+                          RoleChangeReason.DEMOTION)
+        self._demoted.add(fo.old_admin)
+        self._change_role(successor, Role.ADMINISTRATOR,
+                          RoleChangeReason.ADMIN_FAILOVER)
         self._admin_id = successor
         self._supervising = False
-        self._cmu_monitors.clear()
+        self._sync_watches(CMU_ID)
         self._notify(Severity.INFO, Cause.ADMIN_FAILOVER, subject=successor,
                      reporter=CMU_ID)
         self._post(EnvelopeKind.ROLE_ASSIGNMENT, CMU_ID, successor,
@@ -886,20 +890,21 @@ class Network:
                      subject=fo.old_admin, reporter=CMU_ID)
         self._supervising = True
         self._failover = None
-        for member in self._granted:
-            st = self.nodes[member]
-            if (is_lrn(st.profile.role)
-                    and st.profile.status is NodeStatus.ACTIVE):
-                self._watch_sensor(CMU_ID, member)
+        self._sync_watches(CMU_ID)
         self._post(EnvelopeKind.INFO_MESSAGE, CMU_ID, BROADCAST,
                    subject=fo.old_admin, detail="cmu-supervision")
         self._remove_alerted()
 
-    def _log_role_change(self, node: int, from_role: Optional[Role],
-                         to_role: Role, reason: RoleChangeReason) -> None:
+    def _change_role(self, node: int, role: Role,
+                     reason: RoleChangeReason) -> None:
+        """Log and apply a role change; a roster waits for the next office."""
+        st = self.nodes[node]
         self.role_changes.append(RoleChange(
-            node=node, from_role=from_role, to_role=to_role,
+            node=node, from_role=st.profile.role, to_role=role,
             at=self.engine.now, reason=reason))
+        st.profile = st.profile.with_role(role)
+        st.roster = []
+        self._sync_watches(node)
 
     # ------------------------------------------------------------- delivery
 
@@ -1034,42 +1039,37 @@ class Network:
                 and self.engine.is_responsive(receiver)):
             self._post(EnvelopeKind.PONG, receiver, CMU_ID, detail=env.detail)
 
+    def _tell_admin(self, node: int, admin: int) -> None:
+        st = self.nodes[node]
+        st.known_admin, st.admin_removed = admin, False
+        self._sync_watches(node)
+
     def _on_role_assignment(self, env: Envelope, receiver: int) -> None:
         role, admin = env.detail
-        st = self.nodes[receiver]
-        if role is Role.ADMINISTRATOR and env.subject is not None:
-            st.known_admin = env.subject
+        if role is Role.ADMINISTRATOR:
+            admin = env.subject
         if admin is not None:
-            st.known_admin = admin
+            self._tell_admin(receiver, admin)
         if env.subject == receiver:
             self._start_duties(receiver)
 
     def _on_removal_notice(self, env: Envelope, receiver: int) -> None:
-        self._drop_monitor(receiver, env.subject)
+        st = self.nodes[receiver]
+        if env.subject in st.roster:
+            st.roster.remove(env.subject)
+        if env.subject == st.known_admin:
+            st.admin_removed = True
+        self._sync_watches(receiver)
 
     def _on_info(self, env: Envelope, receiver: int) -> None:
         detail = env.detail
-        subject = env.subject
         if detail == "new-admin":
-            if receiver == CMU_ID or subject is None:
-                return
-            st = self.nodes[receiver]
-            st.known_admin = subject
-            if receiver == subject:
-                return
-            if is_lrn(st.profile.role):
-                st.monitors.pop(subject, None)
-                self._watch_admin(receiver)
-        elif detail == "reentry":
-            if subject is None:
-                return
-            if receiver == self._admin_id:
-                self._watch_sensor(receiver, subject)
+            self._tell_admin(receiver, env.subject)
         elif detail == "cmu-supervision":
-            if receiver == CMU_ID:
-                return
-            st = self.nodes[receiver]
-            st.known_admin = CMU_ID
+            self._tell_admin(receiver, CMU_ID)
+        elif self.nodes[receiver].profile.role is Role.ADMINISTRATOR:
+            # a reentry
+            self._enrol(receiver, env.subject)
 
     # --------------------------------------------------------------- timers
 
@@ -1122,7 +1122,6 @@ _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.AUTHORIZATION_REQUEST, True): Network._on_auth_request,
     (EnvelopeKind.AUTH_CHALLENGE, False): Network._on_auth_challenge,
     (EnvelopeKind.AUTH_RESPONSE, True): Network._on_auth_response,
-    (EnvelopeKind.AUTHORIZATION_GRANT, True): Network._on_auth_grant,
     (EnvelopeKind.AUTHORIZATION_GRANT, False): Network._on_auth_grant,
     (EnvelopeKind.KEY_EXCHANGE, True): Network._on_key_exchange,
     (EnvelopeKind.KEY_EXCHANGE, False): Network._on_key_exchange,
@@ -1132,9 +1131,7 @@ _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.PONG, True): Network._on_pong,
     (EnvelopeKind.DIAGNOSTIC_PROBE, False): Network._on_probe,
     (EnvelopeKind.ROLE_ASSIGNMENT, False): Network._on_role_assignment,
-    (EnvelopeKind.REMOVAL_NOTICE, True): Network._on_removal_notice,
     (EnvelopeKind.REMOVAL_NOTICE, False): Network._on_removal_notice,
-    (EnvelopeKind.INFO_MESSAGE, True): Network._on_info,
     (EnvelopeKind.INFO_MESSAGE, False): Network._on_info,
 }
 

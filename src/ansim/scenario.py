@@ -36,8 +36,6 @@ class NodeSpec:
     id: int
     hardware_id: int
     processing_power: int
-    x: float | None = None
-    y: float | None = None
     registered: bool = True
 
 
@@ -74,7 +72,6 @@ class SecurityConfig:
     # per data packet, (120 + 40 + 320) / 120 = 4.0 and 480 / 160 = 3.0.
     sig_len: int = 40
     encap_overhead: int = 320
-    handshake_msgs: int = 2
     handshake_msg_len: int = 64
     tota_time_step_ms: int = 30000
     tota_skew_steps: int = 1
@@ -115,7 +112,6 @@ class ScenarioConfig:
         return SecurityProfile.auth_encap(
             sig_len=self.security.sig_len,
             encap_overhead=self.security.encap_overhead,
-            handshake_msgs=self.security.handshake_msgs,
             handshake_msg_len=self.security.handshake_msg_len)
 
     def link_model(self) -> LinkModel:
@@ -182,8 +178,6 @@ def _parse_node(data: Any, idx: int, errors: list[str]) -> Optional[NodeSpec]:
     nid = r.take("id", int, required=True)
     hw = r.take("hardware_id", int, required=True)
     power = r.take("processing_power", int, required=True)
-    x = r.take("x", float, default=None)
-    y = r.take("y", float, default=None)
     registered = r.take("registered", bool, default=True)
     r.finish()
     if nid is None or hw is None or power is None:
@@ -193,7 +187,7 @@ def _parse_node(data: Any, idx: int, errors: list[str]) -> Optional[NodeSpec]:
     if power <= 0:
         r.err("processing_power", f"must be > 0, got {power}")
     return NodeSpec(id=nid, hardware_id=hw, processing_power=power,
-                    x=x, y=y, registered=bool(registered))
+                    registered=bool(registered))
 
 
 def _parse_links(data: Any, errors: list[str],
@@ -395,15 +389,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "description": cfg.description,
         "seed": cfg.seed,
         "duration_ms": cfg.duration_ms,
-        "nodes": [
-            {k: v for k, v in (("id", n.id),
-                               ("hardware_id", n.hardware_id),
-                               ("processing_power", n.processing_power),
-                               ("x", n.x), ("y", n.y),
-                               ("registered", n.registered))
-             if v is not None}
-            for n in cfg.nodes
-        ],
+        "nodes": [asdict(n) for n in cfg.nodes],
         "links": asdict(cfg.links),
         "timers": asdict(cfg.timers),
         "security": asdict(cfg.security),

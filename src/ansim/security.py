@@ -62,7 +62,7 @@ class SecurityProfile:
 
     Variant invariants are normalized at construction: the plain profile has
     no signature and no handshake, the auth profile signs but never
-    encapsulates, and only auth-encap carries handshake parameters. So
+    encapsulates, and only auth-encap carries a handshake message length. So
     ``overhead``, what every non-bootstrap envelope adds to its payload, is
     ``sig_len + encap_overhead`` under every profile.
     """
@@ -70,7 +70,6 @@ class SecurityProfile:
     kind: ProfileKind
     sig_len: int = 0
     encap_overhead: int = 0
-    handshake_msgs: int = 0
     handshake_msg_len: int = 0
     overhead: int = field(init=False, repr=False, compare=False)
 
@@ -78,19 +77,19 @@ class SecurityProfile:
         if self.sig_len < 0 or self.encap_overhead < 0:
             raise SimError("profile overheads must be >= 0")
         if self.kind is ProfileKind.PLAIN:
-            if self.sig_len or self.encap_overhead or self.handshake_msgs:
+            if self.sig_len or self.encap_overhead or self.handshake_msg_len:
                 raise SimError("plain profile carries no overhead parameters")
         elif self.kind is ProfileKind.AUTH:
             if self.sig_len <= 0:
                 raise SimError("auth profile requires sig_len > 0")
-            if self.encap_overhead or self.handshake_msgs:
+            if self.encap_overhead or self.handshake_msg_len:
                 raise SimError("auth profile never encapsulates")
         else:
             if self.sig_len <= 0 or self.encap_overhead <= 0:
                 raise SimError(
                     "auth-encap profile requires sig_len and encap_overhead")
-            if self.handshake_msgs <= 0 or self.handshake_msg_len <= 0:
-                raise SimError("auth-encap profile requires handshake parameters")
+            if self.handshake_msg_len <= 0:
+                raise SimError("auth-encap profile requires handshake_msg_len")
         object.__setattr__(self, "overhead", self.sig_len + self.encap_overhead)
 
     @classmethod
@@ -103,11 +102,9 @@ class SecurityProfile:
 
     @classmethod
     def auth_encap(cls, sig_len: int = 40, encap_overhead: int = 320,
-                   handshake_msgs: int = 2,
                    handshake_msg_len: int = 64) -> "SecurityProfile":
         return cls(kind=ProfileKind.AUTH_ENCAP, sig_len=sig_len,
                    encap_overhead=encap_overhead,
-                   handshake_msgs=handshake_msgs,
                    handshake_msg_len=handshake_msg_len)
 
     def wire_len_for(self, payload_len: int, kind_is_bootstrap: bool) -> int:

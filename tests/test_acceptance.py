@@ -229,7 +229,7 @@ def test_criterion_5_security_envelope_suite():
     profiles = {
         "plain": SecurityProfile.plain(),
         "auth": SecurityProfile.auth_only(40),
-        "auth-encap": SecurityProfile.auth_encap(40, 320, 2, 64),
+        "auth-encap": SecurityProfile.auth_encap(40, 320, 64),
     }
     # (kind, sender, receiver, payload, sent_at) as wrap takes them
     unicast = (EnvelopeKind.SENSOR_DATA, 1, 2, b"p" * 120, 77)

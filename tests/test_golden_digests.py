@@ -91,3 +91,12 @@ def test_check_names_each_mismatch_and_writes_nothing(tmp_path, monkeypatch,
     assert "paper-case1/plain" not in out
     assert json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8")) \
         == doctored
+
+
+def test_regen_imports_its_own_checkout_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "regen_golden.py"), "--help"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "--check" in out.stdout

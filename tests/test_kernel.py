@@ -198,29 +198,29 @@ def test_forced_loss_hook():
     eng = make_engine()
     seen = []
     eng.on_deliver = lambda env: seen.append(env.receiver)
-    eng.force_lose_next(1, 2, count=1)
-    eng.send(data_env(sender=1, receiver=2))
-    eng.send(data_env(sender=1, receiver=2))
+    eng.force_lose(1)
+    assert eng.send(data_env(sender=1, receiver=2)) is False
+    assert eng.send(data_env(sender=1, receiver=2)) is True
     eng.run_until(50)
     assert seen == [2]
 
 
-def test_forced_losses_run_out_per_pair():
+def test_forced_losses_pick_sends_by_sequence_number():
     rec = SpyRecorder()
     eng = make_engine(recorder=rec)
-    eng.force_lose_next(1, 2, count=2)
-    eng.force_lose_next(3, 2, count=1)
-    sends = [(1, 2), (2, 1), (1, 3), (1, 2), (1, 2), (1, 2), (3, 2),
-             (3, 2)]
+    eng.force_lose(2, 4, 7)
+    eng.inject(FaultSpec(target=3, kind=FaultKind.CRASH, at=0))
+    eng.run_until(0)
+    sends = [(1, 2), (2, 1), (3, 1), (1, 3), (1, 2), (2, 3), (1, 2)]
     outcomes = [eng.send(data_env(sender=s, receiver=r)) for s, r in sends]
-    # 1->2 loses its next two sends and then delivers; the reverse
-    # direction and other pairs from the same sender are untouched
-    assert outcomes == [False, True, True, False, True, True, False, True]
-    assert [d for _, _, d in rec.calls] == outcomes
-    # a pair whose losses ran out can be forced again
-    eng.force_lose_next(1, 2)
-    assert eng.send(data_env(sender=1, receiver=2)) is False
-    assert eng.send(data_env(sender=1, receiver=2)) is True
+    # crashed node 3's attempt takes no number, so 1 -> 3 is send 3 and the
+    # last 1 -> 2 is send 6; whatever the pair, only the numbered sends go
+    assert outcomes == [True, False, False, True, False, True, True]
+    assert [(seq, d) for seq, _, d in rec.calls] == [
+        (1, True), (2, False), (3, True), (4, False), (5, True), (6, True)]
+    # send 7 is still to come
+    assert eng.send(data_env(sender=2, receiver=1)) is False
+    assert eng.send(data_env(sender=2, receiver=1)) is True
 
 
 def test_trace_line_format():

@@ -89,6 +89,13 @@ def test_unknown_keys_rejected_with_paths():
     doc2["nodes"][0]["colour"] = "red"
     errs2 = errors_of(json.dumps(doc2))
     assert any("nodes[0].colour" in e for e in errs2)
+    # keys that no part of the simulation ever read are gone from the schema
+    doc3 = json.loads(minimal(security={"profile": "auth-encap",
+                                        "handshake_msgs": 2}))
+    doc3["nodes"][1].update(x=1.0, y=2.0)
+    assert sorted(errors_of(json.dumps(doc3))) == [
+        "nodes[1].x: unknown key", "nodes[1].y: unknown key",
+        "security.handshake_msgs: unknown key"]
 
 
 def test_all_violations_collected_in_one_pass():

@@ -79,7 +79,7 @@ def test_profile_variant_invariants():
         SecurityProfile(kind=ProfileKind.AUTH, sig_len=40, encap_overhead=320)
     with pytest.raises(SimError):
         SecurityProfile(kind=ProfileKind.AUTH_ENCAP, sig_len=40,
-                        encap_overhead=320, handshake_msgs=0)
+                        encap_overhead=320, handshake_msg_len=0)
 
 
 def test_wire_length_additivity_exact():
