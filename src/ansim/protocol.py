@@ -26,7 +26,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Optional
+from typing import Callable, Collection, NamedTuple, Optional
 
 from . import security
 from .kernel import Engine
@@ -103,9 +103,11 @@ FIXED_PAYLOAD_LEN = {
 
 # ------------------------------------------------------------------ monitors
 
-@dataclass
+@dataclass(slots=True)
 class MonitorState:
-    """Loss-streak tracker one watcher keeps for one watched node."""
+    """Loss-streak tracker one watcher keeps for one watched node. The
+    streak is ``consecutive_losses`` alone; ``gen`` names the one live
+    deadline timer, so a deadline of another generation is stale."""
 
     watcher: int
     watched: int
@@ -114,9 +116,6 @@ class MonitorState:
     grace: int
     next_expected: int
     consecutive_losses: int = 0
-    warned_for_current_streak: bool = False
-    alerted_for_current_streak: bool = False
-    last_outcome_at: int = -1
     gen: int = 0
     # the deadline timer's tag, "mon/<watched>"
     tag: str = ""
@@ -126,29 +125,24 @@ def record_packet_outcome(ms: MonitorState, delivered: bool,
                           at: int) -> list[Notification]:
     """Advance one monitor by one observed outcome.
 
-    A warning is emitted exactly on the streak's first loss and an alert
-    exactly on the transition from two to three consecutive losses. A
-    delivery resets the streak.
+    A delivery resets the streak. A loss adds one to it; the count climbs
+    from zero by one, so it passes 1 and 3 once per streak: a warning is
+    emitted exactly on the streak's first loss and an alert exactly on its
+    third.
     """
-    ms.last_outcome_at = at
     if delivered:
         ms.consecutive_losses = 0
-        ms.warned_for_current_streak = False
-        ms.alerted_for_current_streak = False
         return []
-    ms.consecutive_losses += 1
-    out: list[Notification] = []
-    if ms.consecutive_losses == 1 and not ms.warned_for_current_streak:
-        ms.warned_for_current_streak = True
-        out.append(Notification(severity=Severity.WARNING, subject=ms.watched,
-                                cause=Cause.SINGLE_LOSS, at=at,
-                                reporter=ms.watcher))
-    if ms.consecutive_losses == 3 and not ms.alerted_for_current_streak:
-        ms.alerted_for_current_streak = True
-        out.append(Notification(severity=Severity.ALERT, subject=ms.watched,
-                                cause=Cause.TRIPLE_LOSS, at=at,
-                                reporter=ms.watcher))
-    return out
+    losses = ms.consecutive_losses = ms.consecutive_losses + 1
+    if losses == 1:
+        return [Notification(severity=Severity.WARNING, subject=ms.watched,
+                             cause=Cause.SINGLE_LOSS, at=at,
+                             reporter=ms.watcher)]
+    if losses == 3:
+        return [Notification(severity=Severity.ALERT, subject=ms.watched,
+                             cause=Cause.TRIPLE_LOSS, at=at,
+                             reporter=ms.watcher)]
+    return []
 
 
 # ---------------------------------------------------------------- succession
@@ -228,7 +222,7 @@ def assign_initial_roles(profiles: list[NodeProfile],
 
 # ------------------------------------------------------------------- network
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     profile: NodeProfile
     registered: bool = True
@@ -354,7 +348,7 @@ class Network:
         self.engine.schedule_timer(self.timers.inspection_period_ms,
                                    CMU_ID, "inspect")
 
-    def _bootstrap(self) -> None:
+    def _on_bootstrap_timer(self, _owner: int, _arg: None, _data: int) -> None:
         changes = assign_initial_roles(
             [st.profile for st in self.nodes.values()], at=self.engine.now)
         for change in changes:
@@ -384,8 +378,8 @@ class Network:
                 and kind not in BOOTSTRAP_KINDS):
             hs = self._handshakes.get(
                 (sender, receiver) if sender < receiver else (receiver, sender))
-            if (hs is not None and not hs.done) or not self.keys.has_session(
-                    sender, receiver):
+            if ((hs is not None and not hs.done)
+                    or self.keys.sealing_key_id(sender, receiver) is None):
                 self._pending_out.setdefault((sender, receiver), []).append(
                     (kind, subject, detail, payload))
                 self._ensure_handshake(sender, receiver)
@@ -661,34 +655,26 @@ class Network:
                                           ms.watcher, ms.tag, gen)
 
     def _on_monitor_deadline(self, watcher: int, watched: int, gen: int) -> None:
-        if watcher == CMU_ID:
-            ms = self._cmu_monitors.get(watched)
-            if ms is None or ms.gen != gen:
-                return
-            engine = self._engine_ref()
-        else:
-            wst = self.nodes[watcher]
-            ms = wst.monitors.get(watched)
-            if (ms is None or ms.gen != gen
-                    or wst.profile.status is not NodeStatus.ACTIVE):
-                return
-            engine = self._engine_ref()
-            if watcher in engine.crashed:
-                return
+        ms = (self._cmu_monitors if watcher == CMU_ID
+              else self.nodes[watcher].monitors).get(watched)
+        if ms is None or ms.gen != gen:
+            return
+        engine = self._engine_ref()
+        if watcher != CMU_ID and (
+                watcher in engine.crashed
+                or self.nodes[watcher].profile.status is not NodeStatus.ACTIVE):
+            return
         notes = record_packet_outcome(ms, delivered=False, at=engine.now)
         ms.next_expected += ms.period
         self._arm_monitor(ms)
         for note in notes:
-            self._report(note)
-
-    def _report(self, note: Notification) -> None:
-        if note.reporter == CMU_ID:
-            self._ingest(note)
-            return
-        kind = (EnvelopeKind.WARNING if note.severity is Severity.WARNING
-                else EnvelopeKind.ALERT)
-        self._post(kind, note.reporter, CMU_ID, subject=note.subject,
-                   detail=note.cause)
+            if watcher == CMU_ID:
+                self._ingest(note)
+            else:
+                self._post(EnvelopeKind.WARNING
+                           if note.severity is Severity.WARNING
+                           else EnvelopeKind.ALERT, watcher, CMU_ID,
+                           subject=note.subject, detail=note.cause)
 
     # -------------------------------------------------- notification intake
 
@@ -911,27 +897,26 @@ class Network:
     def _on_deliver(self, env: Envelope) -> None:
         """Hand one delivered envelope to each eligible receiver.
 
-        The checks every receiver shares (profile, signature, a granted
-        sender) run once per envelope; each eligible receiver that cannot
-        open the envelope still logs its own auth failure, in receiver
-        order. A broadcast whose handler acts at only a few receivers
-        visits just those and the receivers that must log a failure.
+        What the kind decides comes from its one ``_DELIVERY`` record. The
+        checks every receiver shares (profile, signature, a granted sender)
+        run once per envelope; each eligible receiver that cannot open it
+        still logs its own auth failure, in receiver order. A broadcast
+        whose handler acts at only a few receivers (a pruned kind) visits
+        just those and the receivers that must log a failure; bootstrap
+        kinds skip ``_readers``, as every receiver reads them.
 
         The management unit is always eligible. A node is not while it is
-        crashed; once removed it hears only diagnostic probes, and while
-        re-entering only probes and role assignments. A monitored delivery
-        resets the receiver's loss streak for the sender and re-arms its
-        deadline here, without a handler.
-
-        Bootstrap kinds skip ``_readers``: every receiver reads them. Kinds
-        other than grants and role assignments skip ``_acting_receivers``:
-        every receiver's handler can act on them.
+        crashed, nor while not active unless the record lists its status.
+        A monitored delivery runs no handler: it resets the receiver's loss
+        streak for the sender and re-arms its deadline, with the generation
+        counter kept in a local and written back after the loop.
         """
         sender = env.sender
         kind = env.kind
-        readers = None if kind in BOOTSTRAP_KINDS else self._readers(env)
-        acting = (self._acting_receivers(env) if kind in PRUNED_KINDS
-                  else None)
+        bootstrap, pruned, monitored, heard_by, at_cmu, at_node = \
+            _DELIVERY[kind]
+        readers = None if bootstrap else self._readers(env)
+        acting = self._acting_receivers(env) if pruned else None
         if env.receiver != BROADCAST:
             receivers = (env.receiver,)
             skip = None
@@ -944,16 +929,12 @@ class Network:
                 if readers is not None:
                     visit |= self._broadcast_set.difference(readers)
                 receivers = sorted(visit)
-        probe = kind is EnvelopeKind.DIAGNOSTIC_PROBE
-        heard_reentering = probe or kind is EnvelopeKind.ROLE_ASSIGNMENT
-        monitored = kind in MONITORED_KINDS
-        at_cmu = _HANDLERS.get((kind, True))
-        at_node = _HANDLERS.get((kind, False))
         engine = self._engine_ref()
         now = engine.now
         schedule = engine.schedule
         crashed = engine.crashed
         nodes = self.nodes
+        gen = self._gen
         for receiver in receivers:
             if receiver == skip:
                 continue
@@ -966,9 +947,7 @@ class Network:
                 if st is None:
                     continue
                 status = st.profile.status
-                if status is not NodeStatus.ACTIVE and not (
-                        probe if status is NodeStatus.REMOVED
-                        else heard_reentering):
+                if status is not NodeStatus.ACTIVE and status not in heard_by:
                     continue
                 monitors = st.monitors
             if readers is not None and receiver not in readers:
@@ -981,18 +960,16 @@ class Network:
                 ms = monitors.get(sender)
                 if ms is None or ms.kind is not kind:
                     continue
-                ms.last_outcome_at = now
                 ms.consecutive_losses = 0
-                ms.warned_for_current_streak = False
-                ms.alerted_for_current_streak = False
-                ms.next_expected = now + ms.period
-                gen = self._gen = self._gen + 1
-                ms.gen = gen
-                schedule(now + ms.period + ms.grace, (receiver, ms.tag, gen))
+                ms.next_expected = due = now + ms.period
+                ms.gen = gen = gen + 1
+                schedule(due + ms.grace, (receiver, ms.tag, gen))
                 continue
             handler = at_cmu if receiver == CMU_ID else at_node
             if handler is not None:
                 handler(self, env, receiver)
+        if monitored:
+            self._gen = gen
 
     def _readers(self, env: Envelope) -> Optional[Collection[int]]:
         """Receivers that accept the non-bootstrap ``env``: None for every
@@ -1006,7 +983,9 @@ class Network:
         # grant a node, so the sender's standing holds for all of them
         if env.sender != CMU_ID and env.sender not in self._granted:
             return frozenset()
-        return security.key_holders(env, self.profile, self.keys)
+        # only auth-encap seals, so every reader of another profile can open it
+        return (security.key_holders(env, self.profile, self.keys)
+                if self._sealed else None)
 
     def _acting_receivers(self, env: Envelope) -> Optional[tuple]:
         """Receivers whose handler can change anything, or None for all.
@@ -1087,9 +1066,6 @@ class Network:
             self._timer_routes[tag] = (_NODE_TIMERS[family], node)
         return tag
 
-    def _on_bootstrap_timer(self, _owner: int, _arg: None, _data: int) -> None:
-        self._bootstrap()
-
     def _on_inspect_timer(self, _owner: int, _arg: None, _data: int) -> None:
         # starts nothing: alerts are acted on as they arrive, and the timer
         # only keeps its place in the event sequence and the trace
@@ -1134,6 +1110,30 @@ _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.REMOVAL_NOTICE, False): Network._on_removal_notice,
     (EnvelopeKind.INFO_MESSAGE, False): Network._on_info,
 }
+
+
+class _Delivery(NamedTuple):
+    """What Network._on_deliver needs of one envelope kind."""
+
+    bootstrap: bool  # in BOOTSTRAP_KINDS: every receiver reads it
+    pruned: bool  # in PRUNED_KINDS: see Network._acting_receivers
+    monitored: bool  # in MONITORED_KINDS: resets the receiver's monitor
+    heard_by: frozenset  # the non-active statuses whose nodes still hear it
+    at_cmu: Optional[Callable]  # the handler at the management unit
+    at_node: Optional[Callable]  # the handler at a node
+
+
+# A removed node hears only diagnostic probes; a re-entering node also hears
+# the role assignment that re-admits it.
+_DELIVERY: dict[EnvelopeKind, _Delivery] = {
+    kind: _Delivery(
+        kind in BOOTSTRAP_KINDS, kind in PRUNED_KINDS, kind in MONITORED_KINDS,
+        frozenset({NodeStatus.REMOVED, NodeStatus.REENTERING}
+                  if kind is EnvelopeKind.DIAGNOSTIC_PROBE
+                  else {NodeStatus.REENTERING}
+                  if kind is EnvelopeKind.ROLE_ASSIGNMENT else ()),
+        _HANDLERS.get((kind, True)), _HANDLERS.get((kind, False)))
+    for kind in EnvelopeKind}
 
 
 # Timer handlers, each called as handler(network, owner, argument, data).

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ansim import protocol, security
 from ansim.kernel import FaultKind, FaultSpec
 from ansim.model import (
+    BOOTSTRAP_KINDS,
     BROADCAST,
     CMU_ID,
     Cause,
@@ -605,8 +606,8 @@ def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
     """Deliver one envelope of every kind from the management unit to
     ``node`` (or to everyone) in a settled 4-node network; return the kinds
     ``node`` heard and, for a broadcast, the kinds node 2 heard. A kind is
-    heard when its handler runs or, for monitored kinds, when it resets the
-    receiver's monitor of the sender."""
+    heard when its record's handler runs or, for monitored kinds, when it
+    resets the receiver's monitor of the sender, which moves its ``gen``."""
     engine, net, _, _ = build_simulation(make_cfg(4, duration_ms=20000))
     engine.run_until(20000)
     st = net.nodes[node]
@@ -620,25 +621,43 @@ def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
     def record(_net, env, receiver):
         heard.append((env.kind, receiver))
 
-    monkeypatch.setattr(protocol, "_HANDLERS", {
-        (kind, at_cmu): record
-        for kind in EnvelopeKind for at_cmu in (True, False)})
+    monkeypatch.setattr(protocol, "_DELIVERY", {
+        kind: rec._replace(at_cmu=record, at_node=record)
+        for kind, rec in protocol._DELIVERY.items()})
     for kind in EnvelopeKind:
         monitor = None
         if kind in protocol.MONITORED_KINDS:
             monitor = st.monitors[CMU_ID] = MonitorState(
                 watcher=node, watched=CMU_ID, kind=kind, period=1000,
-                grace=250, next_expected=engine.now, tag="mon/0")
+                grace=250, next_expected=engine.now, gen=-1, tag="mon/0")
         detail = ((Role.LOW_RANK, CMU_ID)
                   if kind is EnvelopeKind.ROLE_ASSIGNMENT else None)
         engine.on_deliver(security.wrap(
             net.profile, net.keys, kind, CMU_ID,
             BROADCAST if broadcast else node, b"x" * 16, engine.now,
             subject=node, detail=detail))
-        if monitor is not None and monitor.last_outcome_at == engine.now:
+        if monitor is not None and monitor.gen != -1:
             heard.append((kind, node))
     return ({kind for kind, receiver in heard if receiver == node},
             {kind for kind, receiver in heard if receiver == 2})
+
+
+def test_each_kinds_delivery_record_matches_its_sources():
+    for kind in EnvelopeKind:
+        rec = protocol._DELIVERY[kind]
+        assert rec.bootstrap is (kind in BOOTSTRAP_KINDS), kind
+        assert rec.pruned is (kind in protocol.PRUNED_KINDS), kind
+        assert rec.monitored is (kind in protocol.MONITORED_KINDS), kind
+        assert rec.at_cmu is protocol._HANDLERS.get((kind, True)), kind
+        assert rec.at_node is protocol._HANDLERS.get((kind, False)), kind
+        if rec.monitored:
+            assert rec.at_cmu is None and rec.at_node is None, kind
+        assert rec.heard_by == {
+            EnvelopeKind.DIAGNOSTIC_PROBE: {NodeStatus.REMOVED,
+                                            NodeStatus.REENTERING},
+            EnvelopeKind.ROLE_ASSIGNMENT: {NodeStatus.REENTERING},
+        }.get(kind, set()), kind
+    assert set(protocol._DELIVERY) == set(EnvelopeKind)
 
 
 @pytest.mark.parametrize("broadcast", [False, True])
