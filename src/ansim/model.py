@@ -7,7 +7,7 @@ this module only defines what those modules exchange.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 # The management unit is a distinguished endpoint with reserved id 0. It is
@@ -52,7 +52,8 @@ class NodeStatus(IdentityHashEnum):
 
 @dataclass(frozen=True)
 class NodeProfile:
-    """Identity and current standing of one network node.
+    """Identity of one network node; its role and status change, and live
+    in the protocol's per-node state.
 
     ``hardware_id`` is an opaque 64-bit value registered with the management
     unit; it never participates in ordering decisions.
@@ -61,8 +62,6 @@ class NodeProfile:
     node_id: int
     hardware_id: int
     processing_power: int
-    role: Role
-    status: NodeStatus = NodeStatus.ACTIVE
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
@@ -70,12 +69,6 @@ class NodeProfile:
         if self.processing_power <= 0:
             raise SimError(
                 f"processing_power must be > 0, got {self.processing_power}")
-
-    def with_role(self, role: Role) -> "NodeProfile":
-        return replace(self, role=role)
-
-    def with_status(self, status: NodeStatus) -> "NodeProfile":
-        return replace(self, status=status)
 
 
 class EnvelopeKind(IdentityHashEnum):

@@ -47,6 +47,7 @@ from .model import (
     is_lrn,
     make_payload,
 )
+from .scenario import SecurityConfig, TimersConfig
 from .security import (
     KeyRegistry,
     ProfileKind,
@@ -224,7 +225,12 @@ def assign_initial_roles(profiles: list[NodeProfile],
 
 @dataclass(slots=True)
 class NodeState:
+    """One node's mutable record: its role and standing as the management
+    unit last set them, and what the node itself has been told."""
+
     profile: NodeProfile
+    role: Role = Role.LOW_RANK
+    status: NodeStatus = NodeStatus.ACTIVE
     registered: bool = True
     authorized: bool = False
     known_admin: Optional[int] = None
@@ -265,9 +271,8 @@ class Network:
     """
 
     def __init__(self, engine: Engine, *, nodes: list, profile: SecurityProfile,
-                 keys: KeyRegistry, timers, payload_sensor_data: int = 120,
-                 payload_status_broadcast: int = 120,
-                 tota_time_step_ms: int = 30000, tota_skew_steps: int = 1):
+                 keys: KeyRegistry, timers: TimersConfig,
+                 security: SecurityConfig):
         self._engine_ref = weakref.ref(engine)
         self.profile = profile
         self.keys = keys
@@ -275,16 +280,16 @@ class Network:
         # pair-sealed unicasts wait for a session handshake
         self._sealed = profile.kind is ProfileKind.AUTH_ENCAP
         self._payload_len = dict(FIXED_PAYLOAD_LEN)
-        self._payload_len[EnvelopeKind.SENSOR_DATA] = payload_sensor_data
-        self._payload_len[EnvelopeKind.STATUS_BROADCAST] = payload_status_broadcast
+        self._payload_len[EnvelopeKind.SENSOR_DATA] = security.payload_sensor_data
+        self._payload_len[EnvelopeKind.STATUS_BROADCAST] = (
+            security.payload_status_broadcast)
         if profile.kind is ProfileKind.AUTH_ENCAP:
             self._payload_len[EnvelopeKind.KEY_EXCHANGE] = profile.handshake_msg_len
 
         self.nodes: dict[int, NodeState] = {}
         for spec in nodes:
             prof = NodeProfile(node_id=spec.id, hardware_id=spec.hardware_id,
-                               processing_power=spec.processing_power,
-                               role=Role.LOW_RANK)
+                               processing_power=spec.processing_power)
             self.nodes[spec.id] = NodeState(profile=prof,
                                             registered=spec.registered)
             if spec.registered:
@@ -300,7 +305,8 @@ class Network:
 
         self.tota = TotaState(
             secret=keys.signing_key(CMU_ID) + b"/network",
-            time_step_ms=tota_time_step_ms, skew_steps=tota_skew_steps)
+            time_step_ms=security.tota_time_step_ms,
+            skew_steps=security.tota_skew_steps)
 
         # management-unit state
         self._admin_id: Optional[int] = None
@@ -345,8 +351,6 @@ class Network:
 
     def start(self) -> None:
         self.engine.schedule_timer(0, CMU_ID, "bootstrap")
-        self.engine.schedule_timer(self.timers.inspection_period_ms,
-                                   CMU_ID, "inspect")
 
     def _on_bootstrap_timer(self, _owner: int, _arg: None, _data: int) -> None:
         changes = assign_initial_roles(
@@ -354,7 +358,7 @@ class Network:
         for change in changes:
             # no node is authorized yet, so no watch plan changes here
             st = self.nodes[change.node]
-            st.profile = st.profile.with_role(change.to_role)
+            st.role = change.to_role
             self.role_changes.append(change)
             if change.to_role is Role.ADMINISTRATOR:
                 self._admin_id = change.node
@@ -406,7 +410,7 @@ class Network:
         pair = (a, b) if a < b else (b, a)
         if pair in self._handshakes and not self._handshakes[pair].done:
             return
-        if self.keys.has_session(a, b):
+        if self.keys.sealing_key_id(a, b) is not None:
             return
         hs = _Handshake(initiator=a, peer=b, gen=self._next_gen())
         self._handshakes[pair] = hs
@@ -547,7 +551,7 @@ class Network:
         if receiver == env.subject:
             st.authorized = True
             self._start_duties(receiver)
-        elif st.profile.role is Role.ADMINISTRATOR:
+        elif st.role is Role.ADMINISTRATOR:
             self._enrol(receiver, env.subject)
 
     def _enrol(self, admin: int, member: int) -> None:
@@ -564,12 +568,12 @@ class Network:
         st = self.nodes[node]
         if not st.authorized:
             return
-        if st.profile.status is NodeStatus.REENTERING:
-            st.profile = st.profile.with_status(NodeStatus.ACTIVE)
-        if st.profile.status is not NodeStatus.ACTIVE:
+        if st.status is NodeStatus.REENTERING:
+            st.status = NodeStatus.ACTIVE
+        if st.status is not NodeStatus.ACTIVE:
             return
         st.duty_gen += 1
-        if st.profile.role is Role.ADMINISTRATOR:
+        if st.role is Role.ADMINISTRATOR:
             st.roster = [m for m in self._members() if m != node]
             self.engine.schedule_timer(self.engine.now, node, "status",
                                        st.duty_gen)
@@ -582,13 +586,13 @@ class Network:
     def _members(self) -> list[int]:
         """The management unit's roster: granted nodes not removed."""
         return [m for m in self._granted
-                if self.nodes[m].profile.status is not NodeStatus.REMOVED]
+                if self.nodes[m].status is not NodeStatus.REMOVED]
 
     def _on_status_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
         if (gen != st.duty_gen or not st.authorized
-                or st.profile.role is not Role.ADMINISTRATOR
-                or st.profile.status is not NodeStatus.ACTIVE):
+                or st.role is not Role.ADMINISTRATOR
+                or st.status is not NodeStatus.ACTIVE):
             return
         engine = self._engine_ref()
         self._post(EnvelopeKind.STATUS_BROADCAST, node, BROADCAST)
@@ -598,8 +602,8 @@ class Network:
     def _on_sensor_timer(self, node: int, _arg: None, gen: int) -> None:
         st = self.nodes[node]
         if (gen != st.duty_gen or not st.authorized
-                or st.profile.role not in LRN_ROLES
-                or st.profile.status is not NodeStatus.ACTIVE):
+                or st.role not in LRN_ROLES
+                or st.status is not NodeStatus.ACTIVE):
             return
         engine = self._engine_ref()
         target = st.known_admin if st.known_admin is not None else CMU_ID
@@ -617,9 +621,9 @@ class Network:
             return (EnvelopeKind.SENSOR_DATA,
                     self._members() if self._supervising else ())
         st = self.nodes[watcher]
-        if not st.authorized or st.profile.status is not NodeStatus.ACTIVE:
+        if not st.authorized or st.status is not NodeStatus.ACTIVE:
             return EnvelopeKind.SENSOR_DATA, ()
-        if st.profile.role is Role.ADMINISTRATOR:
+        if st.role is Role.ADMINISTRATOR:
             return EnvelopeKind.SENSOR_DATA, st.roster
         admin = st.known_admin
         if admin is None or admin in (watcher, CMU_ID) or st.admin_removed:
@@ -662,7 +666,7 @@ class Network:
         engine = self._engine_ref()
         if watcher != CMU_ID and (
                 watcher in engine.crashed
-                or self.nodes[watcher].profile.status is not NodeStatus.ACTIVE):
+                or self.nodes[watcher].status is not NodeStatus.ACTIVE):
             return
         notes = record_packet_outcome(ms, delivered=False, at=engine.now)
         ms.next_expected += ms.period
@@ -694,7 +698,7 @@ class Network:
         succession, one about any other node removes it. While a failover
         runs, the removal waits until the failover ends."""
         st = self.nodes.get(subject)
-        if st is None or st.profile.status is not NodeStatus.ACTIVE:
+        if st is None or st.status is not NodeStatus.ACTIVE:
             return
         if self._failover is not None:
             self._alerted.append(subject)
@@ -714,9 +718,9 @@ class Network:
 
     def _remove_node(self, subject: int) -> None:
         st = self.nodes.get(subject)
-        if st is None or st.profile.status is not NodeStatus.ACTIVE:
+        if st is None or st.status is not NodeStatus.ACTIVE:
             return
-        st.profile = st.profile.with_status(NodeStatus.REMOVED)
+        st.status = NodeStatus.REMOVED
         st.duty_gen += 1
         self._sync_watches(subject)
         self._sync_watches(CMU_ID)
@@ -734,7 +738,7 @@ class Network:
         if self._probing.get(target) != gen:
             return
         st = self.nodes[target]
-        if st.profile.status is not NodeStatus.REMOVED:
+        if st.status is not NodeStatus.REMOVED:
             del self._probing[target]
             return
         self._post(EnvelopeKind.DIAGNOSTIC_PROBE, CMU_ID, target,
@@ -751,7 +755,7 @@ class Network:
         if node not in self._probing:
             return
         st = self.nodes[node]
-        if st.profile.status is not NodeStatus.REMOVED:
+        if st.status is not NodeStatus.REMOVED:
             return
         del self._probing[node]
         # reentry re-checks the hardware registry before readmission
@@ -759,7 +763,7 @@ class Network:
         if hw is None or hw not in self.keys.registered_hardware_ids:
             self._reject(node)
             return
-        st.profile = st.profile.with_status(NodeStatus.REENTERING)
+        st.status = NodeStatus.REENTERING
         self._change_role(node, Role.LOW_RANK, RoleChangeReason.REENTRY)
         admin = self._admin_id if self._admin_id is not None else CMU_ID
         self._notify(Severity.INFO, Cause.REENTRY, subject=node,
@@ -780,8 +784,8 @@ class Network:
         peers = [n for n, st in self.nodes.items()
                  if n in self._granted and n != old_admin
                  and n not in self._demoted
-                 and st.profile.status is NodeStatus.ACTIVE
-                 and is_lrn(st.profile.role)]
+                 and st.status is NodeStatus.ACTIVE
+                 and is_lrn(st.role)]
         self._failover = fo = _Failover(old_admin=old_admin)
         if not peers:
             self._no_candidate()
@@ -814,7 +818,7 @@ class Network:
         while fo.queue:
             target = fo.queue.pop(0)
             st = self.nodes[target]
-            if st.profile.status is not NodeStatus.ACTIVE:
+            if st.status is not NodeStatus.ACTIVE:
                 continue
             fo.confirm_target = target
             fo.gen = self._next_gen()
@@ -886,9 +890,9 @@ class Network:
         """Log and apply a role change; a roster waits for the next office."""
         st = self.nodes[node]
         self.role_changes.append(RoleChange(
-            node=node, from_role=st.profile.role, to_role=role,
+            node=node, from_role=st.role, to_role=role,
             at=self.engine.now, reason=reason))
-        st.profile = st.profile.with_role(role)
+        st.role = role
         st.roster = []
         self._sync_watches(node)
 
@@ -946,7 +950,7 @@ class Network:
                 st = nodes.get(receiver)
                 if st is None:
                     continue
-                status = st.profile.status
+                status = st.status
                 if status is not NodeStatus.ACTIVE and status not in heard_by:
                     continue
                 monitors = st.monitors
@@ -1014,7 +1018,7 @@ class Network:
 
     def _on_ping(self, env: Envelope, receiver: int) -> None:
         st = self.nodes[receiver]
-        if (st.profile.status is NodeStatus.ACTIVE
+        if (st.status is NodeStatus.ACTIVE
                 and self.engine.is_responsive(receiver)):
             self._post(EnvelopeKind.PONG, receiver, CMU_ID, detail=env.detail)
 
@@ -1046,7 +1050,7 @@ class Network:
             self._tell_admin(receiver, env.subject)
         elif detail == "cmu-supervision":
             self._tell_admin(receiver, CMU_ID)
-        elif self.nodes[receiver].profile.role is Role.ADMINISTRATOR:
+        elif self.nodes[receiver].role is Role.ADMINISTRATOR:
             # a reentry
             self._enrol(receiver, env.subject)
 
@@ -1065,13 +1069,6 @@ class Network:
             tag = tags[node] = f"{family}/{node}"
             self._timer_routes[tag] = (_NODE_TIMERS[family], node)
         return tag
-
-    def _on_inspect_timer(self, _owner: int, _arg: None, _data: int) -> None:
-        # starts nothing: alerts are acted on as they arrive, and the timer
-        # only keeps its place in the event sequence and the trace
-        self.engine.schedule_timer(
-            self.engine.now + self.timers.inspection_period_ms, CMU_ID,
-            "inspect")
 
     def _on_auth_retry(self, node: int, _arg: None, attempt: int) -> None:
         if not self.nodes[node].authorized and attempt < AUTH_MAX_ATTEMPTS:
@@ -1141,7 +1138,6 @@ _DELIVERY: dict[EnvelopeKind, _Delivery] = {
 # Network._node_tag when first scheduled, with the node as its argument.
 _FIXED_TIMERS: dict[str, Callable] = {
     "bootstrap": Network._on_bootstrap_timer,
-    "inspect": Network._on_inspect_timer,
     "status": Network._on_status_timer,
     "sensor": Network._on_sensor_timer,
     "rtt": Network._on_rtt_timeout,

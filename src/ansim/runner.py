@@ -39,11 +39,7 @@ def build_simulation(cfg: ScenarioConfig, *, profile: Optional[str] = None,
                                  if n.registered})
     network = Network(
         engine, nodes=list(cfg.nodes), profile=prof, keys=keys,
-        timers=cfg.timers,
-        payload_sensor_data=cfg.security.payload_sensor_data,
-        payload_status_broadcast=cfg.security.payload_status_broadcast,
-        tota_time_step_ms=cfg.security.tota_time_step_ms,
-        tota_skew_steps=cfg.security.tota_skew_steps)
+        timers=cfg.timers, security=cfg.security)
     for fault in cfg.fault_specs():
         engine.inject(fault)
     network.start()

@@ -60,7 +60,6 @@ class LinksConfig:
 class TimersConfig:
     status_period_ms: int = 5000
     sensor_data_period_ms: int = 10000
-    inspection_period_ms: int = 30000
     rtt_timeout_ms: int = 2000
 
 

@@ -199,9 +199,6 @@ class KeyRegistry:
         """Install the broadcast group key on a legitimate member node."""
         self.group_members.add(node)
 
-    def has_session(self, a: int, b: int) -> bool:
-        return self.sealing_key_id(a, b) is not None
-
     def sealing_key_id(self, a: int, b: int) -> Optional[str]:
         """The id ``"low:high"`` of the pair's session key, or None before
         the pair has a session."""

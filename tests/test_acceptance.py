@@ -129,7 +129,7 @@ def test_criterion_2_fire_sensor_dropout_golden_trace():
     assert [(rc.node, rc.at, rc.to_role) for rc in reentries] \
         == [(drop.target, reentry_at, Role.LOW_RANK)]
     st = result.network.nodes[drop.target]
-    assert st.profile.status is NodeStatus.ACTIVE
+    assert st.status is NodeStatus.ACTIVE
 
     golden = (GOLDEN_DIR / "fire-sensor-dropout.trace").read_text()
     assert "\n".join(trace) + "\n" == golden
@@ -163,7 +163,7 @@ def test_criterion_3_administrator_failover():
                          if rc.node == crash.target]
     assert old_admin_changes[-1].reason is RoleChangeReason.REENTRY
     assert old_admin_changes[-1].to_role is Role.LOW_RANK
-    assert result.network.nodes[crash.target].profile.role is Role.LOW_RANK
+    assert result.network.nodes[crash.target].role is Role.LOW_RANK
     assert report.final_admin == promoted.node
     assert audit_admin_uniqueness(report) == []
     assert audit_demotion_permanence(report) == []

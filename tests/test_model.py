@@ -32,25 +32,12 @@ def test_rank_partition():
 
 
 def test_node_profile_validation():
-    p = NodeProfile(node_id=3, hardware_id=900, processing_power=50,
-                    role=Role.FIRE_SENSOR)
-    assert p.status is NodeStatus.ACTIVE
+    p = NodeProfile(node_id=3, hardware_id=900, processing_power=50)
+    assert (p.node_id, p.hardware_id, p.processing_power) == (3, 900, 50)
     with pytest.raises(SimError):
-        NodeProfile(node_id=-1, hardware_id=1, processing_power=10,
-                    role=Role.FIRE_SENSOR)
+        NodeProfile(node_id=-1, hardware_id=1, processing_power=10)
     with pytest.raises(SimError):
-        NodeProfile(node_id=1, hardware_id=1, processing_power=0,
-                    role=Role.FIRE_SENSOR)
-
-
-def test_node_profile_updates_are_copies():
-    p = NodeProfile(node_id=3, hardware_id=900, processing_power=50,
-                    role=Role.FIRE_SENSOR)
-    q = p.with_role(Role.ADMINISTRATOR)
-    r = p.with_status(NodeStatus.REMOVED)
-    assert p.role is Role.FIRE_SENSOR and p.status is NodeStatus.ACTIVE
-    assert q.role is Role.ADMINISTRATOR
-    assert r.status is NodeStatus.REMOVED
+        NodeProfile(node_id=1, hardware_id=1, processing_power=0)
 
 
 def test_category_map_is_total_and_kind_pure():

@@ -174,7 +174,7 @@ def test_unresponsive_candidate_never_selected():
 
 def node_profile(node_id, power):
     return NodeProfile(node_id=node_id, hardware_id=9000 + node_id,
-                       processing_power=power, role=Role.LOW_RANK)
+                       processing_power=power)
 
 
 def test_initial_roles_highest_power_becomes_admin():
@@ -260,7 +260,7 @@ def test_succession_measured_over_live_links():
     assert [(e.node, e.rtt) for e in net.succession_tables[0].entries] \
         == [(3, 40), (2, 60), (4, 80)]
     assert net.admin_id == 3
-    assert net.nodes[3].profile.role is Role.ADMINISTRATOR
+    assert net.nodes[3].role is Role.ADMINISTRATOR
     demotions = [rc for rc in net.role_changes
                  if rc.reason is RoleChangeReason.DEMOTION]
     promotions = [rc for rc in net.role_changes
@@ -278,8 +278,8 @@ def test_two_node_failover_promotes_the_last_sensor():
     net = run_scenario(cfg).network
     assert net.admin_id == 2
     assert net.supervising is False
-    assert net.nodes[2].profile.role is Role.ADMINISTRATOR
-    assert net.nodes[1].profile.status is NodeStatus.REMOVED
+    assert net.nodes[2].role is Role.ADMINISTRATOR
+    assert net.nodes[1].status is NodeStatus.REMOVED
 
 
 def test_supervision_when_no_candidate_answers():
@@ -313,8 +313,8 @@ def test_supervised_sensors_report_to_management_unit():
     assert sorted(n.subject for n in reentries) == [2, 3]
     assert net.supervising is True
     for node in (2, 3):
-        assert net.nodes[node].profile.status is NodeStatus.ACTIVE
-        assert net.nodes[node].profile.role is Role.LOW_RANK
+        assert net.nodes[node].status is NodeStatus.ACTIVE
+        assert net.nodes[node].role is Role.LOW_RANK
     reentry_at = max(n.at for n in reentries)
     to_cmu = [line for line in result.trace
               if line.split("\t")[2] == "sensor_data"
@@ -383,7 +383,7 @@ def test_alert_during_failover_removes_its_subject_when_failover_ends(
                       (Cause.ADMIN_FAILOVER, 2, 44573),
                       (Cause.REMOVAL, 3, 44573)]
     assert net.admin_id == 2
-    assert net.nodes[3].profile.status is NodeStatus.REMOVED
+    assert net.nodes[3].status is NodeStatus.REMOVED
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)
@@ -611,7 +611,7 @@ def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
     engine, net, _, _ = build_simulation(make_cfg(4, duration_ms=20000))
     engine.run_until(20000)
     st = net.nodes[node]
-    st.profile = st.profile.with_status(status)
+    st.status = status
     if crash:
         engine.inject(FaultSpec(target=node, kind=FaultKind.CRASH,
                                 at=engine.now))

@@ -1,11 +1,16 @@
 """Scenario parsing, validation and round-trip serialization."""
 
+import dataclasses
 import json
 
 import pytest
 
+from ansim.runner import run_scenario
 from ansim.scenario import (
+    FaultEntry,
     ScenarioError,
+    SecurityConfig,
+    TimersConfig,
     builtin_scenario_names,
     load_scenario,
     parse_scenario,
@@ -37,7 +42,6 @@ def test_minimal_scenario_parses_with_defaults():
     cfg = parse_scenario(minimal())
     assert cfg.timers.status_period_ms == 5000
     assert cfg.timers.sensor_data_period_ms == 10000
-    assert cfg.timers.inspection_period_ms == 30000
     assert cfg.timers.rtt_timeout_ms == 2000
     assert cfg.links.latency_ms == 10
     assert cfg.security.profile == "plain"
@@ -91,11 +95,13 @@ def test_unknown_keys_rejected_with_paths():
     assert any("nodes[0].colour" in e for e in errs2)
     # keys that no part of the simulation ever read are gone from the schema
     doc3 = json.loads(minimal(security={"profile": "auth-encap",
-                                        "handshake_msgs": 2}))
+                                        "handshake_msgs": 2},
+                              timers={"inspection_period_ms": 30000}))
     doc3["nodes"][1].update(x=1.0, y=2.0)
     assert sorted(errors_of(json.dumps(doc3))) == [
         "nodes[1].x: unknown key", "nodes[1].y: unknown key",
-        "security.handshake_msgs: unknown key"]
+        "security.handshake_msgs: unknown key",
+        "timers.inspection_period_ms: unknown key"]
 
 
 def test_all_violations_collected_in_one_pass():
@@ -167,3 +173,64 @@ def test_unregistered_node_flag_round_trips():
     assert cfg.nodes[1].registered is False
     again = parse_scenario(scenario_to_json(cfg))
     assert again == cfg
+
+
+# ---------------------------------------------------- every setting matters
+
+def failover_with_a_silent_candidate():
+    """Bundled admin-failover plus a crash of node 7 before the failover
+    starts, so the succession measurement waits out ``rtt_timeout_ms``."""
+    cfg = load_scenario("admin-failover")
+    return dataclasses.replace(cfg, faults=cfg.faults + (
+        FaultEntry(target=7, kind="crash", at_ms=65000),))
+
+
+def with_settings(cfg, section, **values):
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(
+        getattr(cfg, section), **values)})
+
+
+# "section.field" -> (base scenario, the base's own settings, another value).
+# TOTA steps of 5 ms put a response two steps after its challenge on 10 ms
+# links, outside a skew of one step and inside a skew of two.
+SETTING_CASES = {
+    "timers.status_period_ms": ("paper-case1", {}, 4000),
+    "timers.sensor_data_period_ms": ("paper-case1", {}, 8000),
+    "timers.rtt_timeout_ms": (failover_with_a_silent_candidate, {}, 3000),
+    "security.profile": ("paper-case1", {}, "auth"),
+    "security.sig_len": ("paper-case2", {}, 48),
+    "security.encap_overhead": ("paper-case3", {}, 300),
+    "security.handshake_msg_len": ("paper-case3", {}, 80),
+    "security.tota_time_step_ms": ("paper-case1", {}, 5),
+    "security.tota_skew_steps": ("paper-case1",
+                                 {"tota_time_step_ms": 5}, 2),
+    "security.payload_sensor_data": ("paper-case1", {}, 100),
+    "security.payload_status_broadcast": ("paper-case1", {}, 100),
+}
+
+
+def observable(cfg):
+    """The report and every trace line but timer firings, without the
+    event sequence numbers that any extra timer shifts."""
+    result = run_scenario(cfg, with_trace=True)
+    lines = [line.split("\t") for line in result.trace]
+    return (result.report.to_json_dict(),
+            [[at, *rest] for at, _seq, *rest in lines
+             if not rest[0].startswith("timer/")])
+
+
+def test_every_setting_has_a_case():
+    assert sorted(SETTING_CASES) == sorted(
+        [f"timers.{f.name}" for f in dataclasses.fields(TimersConfig)]
+        + [f"security.{f.name}" for f in dataclasses.fields(SecurityConfig)])
+
+
+@pytest.mark.parametrize("setting", sorted(SETTING_CASES))
+def test_every_setting_changes_what_a_run_shows(setting):
+    section, name = setting.split(".")
+    base, own, other = SETTING_CASES[setting]
+    cfg = with_settings(base() if callable(base) else load_scenario(base),
+                        section, **own)
+    assert getattr(getattr(cfg, section), name) != other
+    changed = with_settings(cfg, section, **{name: other})
+    assert observable(changed) != observable(cfg)

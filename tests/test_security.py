@@ -326,10 +326,12 @@ def test_tota_response_is_the_framed_digest(seed, prover, nonce, step):
 
 def test_session_lookup_ignores_pair_order():
     keys = fresh_keys()
-    assert not keys.has_session(1, 2) and not keys.has_session(2, 1)
+    assert keys.sealing_key_id(1, 2) is None
+    assert keys.sealing_key_id(2, 1) is None
     keys.establish(2, 1)
-    assert keys.has_session(1, 2) and keys.has_session(2, 1)
-    assert not keys.has_session(1, 3) and not keys.has_session(3, 1)
+    assert keys.sealing_key_id(1, 2) is not None
+    assert keys.sealing_key_id(2, 1) is not None
+    assert keys.sealing_key_id(3, 1) is None
     assert keys.sealing_key_id(1, 2) == keys.sealing_key_id(2, 1) == "1:2"
     assert keys.sealing_key_id(1, 3) is None
 
