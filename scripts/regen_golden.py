@@ -30,9 +30,9 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from ansim.kernel import FaultKind, FaultSpec  # noqa: E402
 from ansim.runner import PROFILE_ORDER, run_scenario  # noqa: E402
 from ansim.scenario import (  # noqa: E402
-    FaultEntry,
     builtin_scenario_names,
     load_scenario,
     parse_scenario,
@@ -151,7 +151,8 @@ def digest_cases():
     failover = load_scenario("admin-failover")
     yield ("admin-failover-crash-5/plain",
            dataclasses.replace(failover, faults=failover.faults + (
-               FaultEntry(target=5, kind="crash", at_ms=210000),)), None)
+               FaultSpec(target=5, kind=FaultKind.CRASH, at_ms=210000),)),
+           None)
 
 
 def run_digest(cfg, profile) -> str:

@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulator for role-based mutual monitoring
 in a lossy cyber-physical sensor network."""
 
-from .kernel import Engine, FaultKind, FaultSpec, LinkModel, LinkSpec
+from .kernel import Engine, FaultKind, FaultSpec
 from .metrics import ComparisonReport, Recorder, RunReport
 from .model import (
     BROADCAST,
@@ -11,7 +11,6 @@ from .model import (
     Envelope,
     EnvelopeKind,
     Notification,
-    NodeProfile,
     NodeStatus,
     Role,
     Severity,
@@ -44,11 +43,8 @@ __all__ = [
     "FaultKind",
     "FaultSpec",
     "KeyRegistry",
-    "LinkModel",
-    "LinkSpec",
     "MonitorState",
     "Network",
-    "NodeProfile",
     "NodeStatus",
     "Notification",
     "ProfileKind",

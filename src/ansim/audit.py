@@ -179,9 +179,9 @@ def audit_crashed_nodes_removed(report: RunReport,
     through is no member and is never removed, so it fails this audit too.
     """
     crashed_at: dict[int, int] = {}
-    for fault in sorted(cfg.fault_specs(), key=lambda f: f.at):
+    for fault in sorted(cfg.faults, key=lambda f: f.at_ms):
         if fault.kind is FaultKind.CRASH:
-            crashed_at[fault.target] = fault.at
+            crashed_at[fault.target] = fault.at_ms
         elif fault.kind is FaultKind.RESTORE:
             crashed_at.pop(fault.target, None)
     removed: dict[int, bool] = {}

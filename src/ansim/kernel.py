@@ -1,4 +1,4 @@
-"""Discrete-event kernel: millisecond clock, ordered event queue, link model,
+"""Discrete-event kernel: millisecond clock, ordered event queue, links,
 fault injection and trace emission.
 
 Determinism contract: the kernel owns the only random number generator in a
@@ -30,7 +30,8 @@ class UnknownReceiver(SimError):
     pass
 
 
-class FaultKind(Enum):
+# A str Enum, so that a kind compares equal to its name in the scenario schema.
+class FaultKind(str, Enum):
     DROP_NEXT_N = "drop_next_n"
     CRASH = "crash"
     RESTORE = "restore"
@@ -50,7 +51,7 @@ class FaultSpec:
 
     target: int
     kind: FaultKind
-    at: int
+    at_ms: int
     n: int = 0
 
     def __post_init__(self) -> None:
@@ -59,22 +60,24 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkOverride:
+    """The link parameters of one directed pair."""
+
+    src: int
+    dst: int
+    latency_ms: int
+    jitter_ms: int
+    loss_probability: float
+
+
+@dataclass(frozen=True)
+class LinksConfig:
+    """The default link parameters, and the directed pairs that differ."""
+
     latency_ms: int = 10
     jitter_ms: int = 0
     loss_probability: float = 0.0
-
-
-class LinkModel:
-    """Per-directed-pair link parameters with a uniform default."""
-
-    def __init__(self, default: LinkSpec,
-                 overrides: Optional[dict[tuple[int, int], LinkSpec]] = None):
-        self.default = default
-        self.overrides = dict(overrides or {})
-
-    def spec(self, sender: int, receiver: int) -> LinkSpec:
-        return self.overrides.get((sender, receiver), self.default)
+    overrides: tuple[LinkOverride, ...] = ()
 
 
 @dataclass
@@ -100,12 +103,14 @@ class Engine:
     FaultSpec.
     """
 
-    def __init__(self, seed: int, links: LinkModel,
+    def __init__(self, seed: int, links: LinksConfig,
                  node_ids: Iterable[int], recorder=None,
                  trace: Optional[list[str]] = None):
         self.now = 0
         self.rng = random.Random(seed)
         self.links = links
+        self._overrides: dict[tuple[int, int], LinkOverride] = {
+            (ov.src, ov.dst): ov for ov in links.overrides}
         self.recorder = recorder
         self.trace = trace
         # ``scheduled`` doubles as the next event's sequence number
@@ -246,9 +251,9 @@ class Engine:
                 recorder.record_send(seq, env, False)
             return False
 
-        links = self.links
-        spec = (links.spec(sender, receiver) if links.overrides
-                else links.default)
+        overrides = self._overrides
+        spec = (overrides.get((sender, receiver), self.links) if overrides
+                else self.links)
         loss = spec.loss_probability
         if loss > 0 and self.rng.random() < loss:
             if recorder is not None:
@@ -279,7 +284,7 @@ class Engine:
     # ---------------------------------------------------------------- faults
 
     def inject(self, fault: FaultSpec) -> None:
-        self.schedule(fault.at, fault)
+        self.schedule(fault.at_ms, fault)
 
     def _apply_fault(self, fault: FaultSpec) -> None:
         state = self._faults.setdefault(fault.target, _NodeFault())

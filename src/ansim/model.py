@@ -1,4 +1,4 @@
-"""Core domain types: node identities, roles, message envelopes, notifications.
+"""Core domain types: roles, message envelopes, notifications.
 
 Everything here is a plain value type. Mutable runtime state (monitor counters,
 key tables, event queues) lives in the protocol, security and kernel modules;
@@ -48,27 +48,6 @@ class NodeStatus(IdentityHashEnum):
     ACTIVE = "active"
     REMOVED = "removed"
     REENTERING = "reentering"
-
-
-@dataclass(frozen=True)
-class NodeProfile:
-    """Identity of one network node; its role and status change, and live
-    in the protocol's per-node state.
-
-    ``hardware_id`` is an opaque 64-bit value registered with the management
-    unit; it never participates in ordering decisions.
-    """
-
-    node_id: int
-    hardware_id: int
-    processing_power: int
-
-    def __post_init__(self) -> None:
-        if self.node_id < 0:
-            raise SimError(f"node_id must be >= 0, got {self.node_id}")
-        if self.processing_power <= 0:
-            raise SimError(
-                f"processing_power must be > 0, got {self.processing_power}")
 
 
 class EnvelopeKind(IdentityHashEnum):

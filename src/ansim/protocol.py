@@ -39,7 +39,6 @@ from .model import (
     EnvelopeKind,
     LRN_ROLES,
     Notification,
-    NodeProfile,
     NodeStatus,
     Role,
     Severity,
@@ -47,7 +46,7 @@ from .model import (
     is_lrn,
     make_payload,
 )
-from .scenario import SecurityConfig, TimersConfig
+from .scenario import NodeSpec, SecurityConfig, TimersConfig
 from .security import (
     KeyRegistry,
     ProfileKind,
@@ -202,20 +201,20 @@ class RoleChange:
             raise SimError("reentry changes always end in the low rank")
 
 
-def assign_initial_roles(profiles: list[NodeProfile],
+def assign_initial_roles(specs: list[NodeSpec],
                          at: int = 0) -> list[RoleChange]:
     """Initial role distribution: the node with the highest processing power
     becomes administrator (ties broken by the lower id), everyone else starts
     as a fire sensor."""
-    if not profiles:
+    if not specs:
         raise EmptyNetwork("cannot assign roles in an empty network")
-    admin = min(profiles, key=lambda p: (-p.processing_power, p.node_id))
-    changes = [RoleChange(node=admin.node_id, from_role=None,
+    admin = min(specs, key=lambda s: (-s.processing_power, s.id))
+    changes = [RoleChange(node=admin.id, from_role=None,
                           to_role=Role.ADMINISTRATOR, at=at,
                           reason=RoleChangeReason.INITIAL_ASSIGNMENT)]
-    for p in sorted(profiles, key=lambda p: p.node_id):
-        if p.node_id != admin.node_id:
-            changes.append(RoleChange(node=p.node_id, from_role=None,
+    for s in sorted(specs, key=lambda s: s.id):
+        if s.id != admin.id:
+            changes.append(RoleChange(node=s.id, from_role=None,
                                       to_role=Role.FIRE_SENSOR, at=at,
                                       reason=RoleChangeReason.INITIAL_ASSIGNMENT))
     return changes
@@ -225,13 +224,13 @@ def assign_initial_roles(profiles: list[NodeProfile],
 
 @dataclass(slots=True)
 class NodeState:
-    """One node's mutable record: its role and standing as the management
-    unit last set them, and what the node itself has been told."""
+    """One node's mutable record: its scenario entry, its role and standing
+    as the management unit last set them, and what the node itself has
+    been told."""
 
-    profile: NodeProfile
+    spec: NodeSpec
     role: Role = Role.LOW_RANK
     status: NodeStatus = NodeStatus.ACTIVE
-    registered: bool = True
     authorized: bool = False
     known_admin: Optional[int] = None
     admin_removed: bool = False  # heard known_admin removed since told of it
@@ -270,9 +269,9 @@ class Network:
     do; a network whose engine is gone raises SimError.
     """
 
-    def __init__(self, engine: Engine, *, nodes: list, profile: SecurityProfile,
-                 keys: KeyRegistry, timers: TimersConfig,
-                 security: SecurityConfig):
+    def __init__(self, engine: Engine, *, nodes: list[NodeSpec],
+                 profile: SecurityProfile, keys: KeyRegistry,
+                 timers: TimersConfig, security: SecurityConfig):
         self._engine_ref = weakref.ref(engine)
         self.profile = profile
         self.keys = keys
@@ -288,10 +287,7 @@ class Network:
 
         self.nodes: dict[int, NodeState] = {}
         for spec in nodes:
-            prof = NodeProfile(node_id=spec.id, hardware_id=spec.hardware_id,
-                               processing_power=spec.processing_power)
-            self.nodes[spec.id] = NodeState(profile=prof,
-                                            registered=spec.registered)
+            self.nodes[spec.id] = NodeState(spec=spec)
             if spec.registered:
                 keys.provision_member(spec.id)
 
@@ -354,7 +350,7 @@ class Network:
 
     def _on_bootstrap_timer(self, _owner: int, _arg: None, _data: int) -> None:
         changes = assign_initial_roles(
-            [st.profile for st in self.nodes.values()], at=self.engine.now)
+            [st.spec for st in self.nodes.values()], at=self.engine.now)
         for change in changes:
             # no node is authorized yet, so no watch plan changes here
             st = self.nodes[change.node]
@@ -467,7 +463,7 @@ class Network:
         if st.authorized or attempt > AUTH_MAX_ATTEMPTS:
             return
         self._post(EnvelopeKind.AUTHORIZATION_REQUEST, node, CMU_ID,
-                   detail=st.profile.hardware_id)
+                   detail=st.spec.hardware_id)
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, node,
             "authretry", attempt)
@@ -514,7 +510,7 @@ class Network:
     def _on_auth_challenge(self, env: Envelope, node: int) -> None:
         nonce = env.detail
         st = self.nodes[node]
-        secret = self.tota.secret if st.registered else b"not-a-member"
+        secret = self.tota.secret if st.spec.registered else b"not-a-member"
         digest = tota_response(secret, node, nonce,
                                self.tota.step_at(self.engine.now))
         self._post(EnvelopeKind.AUTH_RESPONSE, node, CMU_ID,

@@ -30,7 +30,7 @@ def build_simulation(cfg: ScenarioConfig, *, profile: Optional[str] = None,
     run_seed = cfg.seed if seed is None else seed
     recorder = Recorder()
     trace: list[str] = [] if with_trace else None
-    engine = Engine(seed=run_seed, links=cfg.link_model(),
+    engine = Engine(seed=run_seed, links=cfg.links,
                     node_ids=[CMU_ID, *cfg.node_ids()],
                     recorder=recorder, trace=trace)
     keys = KeyRegistry(
@@ -40,7 +40,7 @@ def build_simulation(cfg: ScenarioConfig, *, profile: Optional[str] = None,
     network = Network(
         engine, nodes=list(cfg.nodes), profile=prof, keys=keys,
         timers=cfg.timers, security=cfg.security)
-    for fault in cfg.fault_specs():
+    for fault in cfg.faults:
         engine.inject(fault)
     network.start()
     return engine, network, recorder, trace

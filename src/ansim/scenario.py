@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .model import CMU_ID, SimError
-from .kernel import FaultKind, FaultSpec, LinkModel, LinkSpec
+from .kernel import FaultKind, FaultSpec, LinkOverride, LinksConfig
 from .security import ProfileKind, SecurityProfile
 
 
@@ -33,27 +33,13 @@ FAULT_NAMES = tuple(k.value for k in FaultKind)
 
 @dataclass(frozen=True)
 class NodeSpec:
+    """One node as the scenario gives it. ``hardware_id`` is an opaque value
+    registered with the management unit; it never decides an ordering."""
+
     id: int
     hardware_id: int
     processing_power: int
     registered: bool = True
-
-
-@dataclass(frozen=True)
-class LinkOverride:
-    src: int
-    dst: int
-    latency_ms: int
-    jitter_ms: int
-    loss_probability: float
-
-
-@dataclass(frozen=True)
-class LinksConfig:
-    latency_ms: int = 10
-    jitter_ms: int = 0
-    loss_probability: float = 0.0
-    overrides: tuple[LinkOverride, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -79,14 +65,6 @@ class SecurityConfig:
 
 
 @dataclass(frozen=True)
-class FaultEntry:
-    target: int
-    kind: str
-    at_ms: int
-    n: int = 0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     seed: int
@@ -96,7 +74,7 @@ class ScenarioConfig:
     links: LinksConfig = LinksConfig()
     timers: TimersConfig = TimersConfig()
     security: SecurityConfig = SecurityConfig()
-    faults: tuple[FaultEntry, ...] = ()
+    faults: tuple[FaultSpec, ...] = ()
 
     def node_ids(self) -> list[int]:
         return [n.id for n in self.nodes]
@@ -112,22 +90,6 @@ class ScenarioConfig:
             sig_len=self.security.sig_len,
             encap_overhead=self.security.encap_overhead,
             handshake_msg_len=self.security.handshake_msg_len)
-
-    def link_model(self) -> LinkModel:
-        default = LinkSpec(latency_ms=self.links.latency_ms,
-                           jitter_ms=self.links.jitter_ms,
-                           loss_probability=self.links.loss_probability)
-        overrides = {}
-        for ov in self.links.overrides:
-            overrides[(ov.src, ov.dst)] = LinkSpec(
-                latency_ms=ov.latency_ms, jitter_ms=ov.jitter_ms,
-                loss_probability=ov.loss_probability)
-        return LinkModel(default, overrides)
-
-    def fault_specs(self) -> list[FaultSpec]:
-        return [FaultSpec(target=f.target, kind=FaultKind(f.kind),
-                          at=f.at_ms, n=f.n)
-                for f in self.faults]
 
 
 # --------------------------------------------------------------------- parse
@@ -177,7 +139,7 @@ def _parse_node(data: Any, idx: int, errors: list[str]) -> Optional[NodeSpec]:
     nid = r.take("id", int, required=True)
     hw = r.take("hardware_id", int, required=True)
     power = r.take("processing_power", int, required=True)
-    registered = r.take("registered", bool, default=True)
+    registered = r.take("registered", bool, default=NodeSpec.registered)
     r.finish()
     if nid is None or hw is None or power is None:
         return None
@@ -197,9 +159,10 @@ def _parse_links(data: Any, errors: list[str],
         errors.append("links: expected an object")
         return LinksConfig()
     r = _Reader(data, "links", errors)
-    latency = r.take("latency_ms", int, default=10)
-    jitter = r.take("jitter_ms", int, default=0)
-    loss = r.take("loss_probability", float, default=0.0)
+    latency = r.take("latency_ms", int, default=LinksConfig.latency_ms)
+    jitter = r.take("jitter_ms", int, default=LinksConfig.jitter_ms)
+    loss = r.take("loss_probability", float,
+                  default=LinksConfig.loss_probability)
     raw_overrides = r.take("overrides", list, default=[])
     r.finish()
     if latency < 0:
@@ -209,6 +172,7 @@ def _parse_links(data: Any, errors: list[str],
     if not 0.0 <= loss <= 1.0:
         r.err("loss_probability", f"must be within [0, 1], got {loss}")
     overrides = []
+    by_pair: dict[tuple[int, int], int] = {}
     for i, item in enumerate(raw_overrides):
         path = f"links.overrides[{i}]"
         if not isinstance(item, dict):
@@ -228,6 +192,11 @@ def _parse_links(data: Any, errors: list[str],
                 ro.err(label, f"unknown node id {endpoint}")
         if not 0.0 <= oloss <= 1.0:
             ro.err("loss_probability", f"must be within [0, 1], got {oloss}")
+        if (src, dst) in by_pair:
+            errors.append(f"{path}: duplicate of links.overrides"
+                          f"[{by_pair[src, dst]}] ({src} -> {dst})")
+        else:
+            by_pair[src, dst] = i
         overrides.append(LinkOverride(src=src, dst=dst, latency_ms=olat,
                                      jitter_ms=ojit, loss_probability=oloss))
     return LinksConfig(latency_ms=latency, jitter_ms=jitter,
@@ -280,7 +249,7 @@ def _parse_security(data: Any, errors: list[str]) -> SecurityConfig:
 
 
 def _parse_fault(data: Any, idx: int, errors: list[str],
-                 node_ids: set[int]) -> Optional[FaultEntry]:
+                 node_ids: set[int]) -> Optional[FaultSpec]:
     path = f"faults[{idx}]"
     if not isinstance(data, dict):
         errors.append(f"{path}: expected an object")
@@ -289,7 +258,7 @@ def _parse_fault(data: Any, idx: int, errors: list[str],
     target = r.take("target", int, required=True)
     kind = r.take("kind", str, required=True)
     at_ms = r.take("at_ms", int, required=True)
-    n = r.take("n", int, default=0)
+    n = r.take("n", int, default=FaultSpec.n)
     r.finish()
     if target is None or kind is None or at_ms is None:
         return None
@@ -302,7 +271,8 @@ def _parse_fault(data: Any, idx: int, errors: list[str],
         r.err("at_ms", "must be >= 0")
     if kind == FaultKind.DROP_NEXT_N.value and n <= 0:
         r.err("n", "drop_next_n requires n > 0")
-    return FaultEntry(target=target, kind=kind, at_ms=at_ms, n=n)
+        return None
+    return FaultSpec(target=target, kind=FaultKind(kind), at_ms=at_ms, n=n)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -317,7 +287,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     errors: list[str] = []
     r = _Reader(data, "", errors)
     name = r.take("name", str, required=True)
-    description = r.take("description", str, default="")
+    description = r.take("description", str,
+                         default=ScenarioConfig.description)
     seed = r.take("seed", int, required=True)
     duration = r.take("duration_ms", int, required=True)
     raw_nodes = r.take("nodes", list, required=True)
@@ -354,7 +325,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     timers = _parse_timers(raw_timers, errors)
     security = _parse_security(raw_security, errors)
 
-    faults: list[FaultEntry] = []
+    faults: list[FaultSpec] = []
     if raw_faults is not None:
         for i, item in enumerate(raw_faults):
             entry = _parse_fault(item, i, errors, node_ids)
@@ -371,6 +342,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
         errors.append(
             "links.latency_ms: latency plus jitter must stay below a quarter "
             f"of the shortest period ({min_period // 4} ms)")
+    # A response's time step is taken when its challenge arrives and checked
+    # one link later; a response checked outside the skew window rejects an
+    # honest node for good. A step already rejected may be 0.
+    step = security.tota_time_step_ms
+    if step > 0:
+        crossed = (max_latency + step - 1) // step
+        if crossed > security.tota_skew_steps:
+            errors.append(
+                f"security.tota_skew_steps: must be >= {crossed}, the number "
+                f"of {step} ms time steps that latency plus jitter of up to "
+                f"{max_latency} ms can cross")
 
     if errors:
         raise ScenarioError(errors)
@@ -393,9 +375,9 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         "timers": asdict(cfg.timers),
         "security": asdict(cfg.security),
         "faults": [
-            {k: v for k, v in (("target", f.target), ("kind", f.kind),
+            {k: v for k, v in (("target", f.target), ("kind", f.kind.value),
                                ("at_ms", f.at_ms), ("n", f.n))
-             if not (k == "n" and f.kind != FaultKind.DROP_NEXT_N.value)}
+             if not (k == "n" and f.kind is not FaultKind.DROP_NEXT_N)}
             for f in cfg.faults
         ],
     }

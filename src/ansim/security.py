@@ -97,12 +97,12 @@ class SecurityProfile:
         return cls(kind=ProfileKind.PLAIN)
 
     @classmethod
-    def auth_only(cls, sig_len: int = 40) -> "SecurityProfile":
+    def auth_only(cls, sig_len: int) -> "SecurityProfile":
         return cls(kind=ProfileKind.AUTH, sig_len=sig_len)
 
     @classmethod
-    def auth_encap(cls, sig_len: int = 40, encap_overhead: int = 320,
-                   handshake_msg_len: int = 64) -> "SecurityProfile":
+    def auth_encap(cls, sig_len: int, encap_overhead: int,
+                   handshake_msg_len: int) -> "SecurityProfile":
         return cls(kind=ProfileKind.AUTH_ENCAP, sig_len=sig_len,
                    encap_overhead=encap_overhead,
                    handshake_msg_len=handshake_msg_len)
@@ -338,8 +338,8 @@ class TotaState:
     """Verifier state for the one-time authentication scheme."""
 
     secret: bytes
-    time_step_ms: int = 30000
-    skew_steps: int = 1
+    time_step_ms: int
+    skew_steps: int
     used: set[tuple[int, int]] = field(default_factory=set)
 
     def step_at(self, at: int) -> int:

@@ -20,6 +20,7 @@ from ansim.audit import (
     run_all,
 )
 from ansim.cli import main
+from ansim.kernel import FaultKind, FaultSpec
 from ansim.model import (
     BROADCAST,
     Cause,
@@ -31,7 +32,6 @@ from ansim.model import (
 from ansim.protocol import PROBE_INTERVAL_MS, RoleChangeReason
 from ansim.runner import run_scenario
 from ansim.scenario import (
-    FaultEntry,
     LinksConfig,
     NodeSpec,
     ScenarioConfig,
@@ -184,14 +184,15 @@ def test_criterion_4_random_scenarios_conform():
             target = rng.randint(1, n)
             at = rng.randint(1000, 100000)
             if rng.random() < 0.5:
-                faults.append(FaultEntry(target=target, kind="crash",
-                                         at_ms=at))
+                faults.append(FaultSpec(target=target, kind=FaultKind.CRASH,
+                                        at_ms=at))
             else:
-                faults.append(FaultEntry(target=target, kind="drop_next_n",
-                                         at_ms=at, n=rng.randint(1, 5)))
+                faults.append(FaultSpec(
+                    target=target, kind=FaultKind.DROP_NEXT_N, at_ms=at,
+                    n=rng.randint(1, 5)))
             if rng.random() < 0.5:
-                faults.append(FaultEntry(
-                    target=target, kind="restore",
+                faults.append(FaultSpec(
+                    target=target, kind=FaultKind.RESTORE,
                     at_ms=at + rng.randint(10000, 120000)))
         cfg = ScenarioConfig(
             name=f"random-{i}", seed=rng.randrange(2 ** 32),

@@ -11,8 +11,8 @@ from ansim.kernel import (
     Engine,
     FaultKind,
     FaultSpec,
-    LinkModel,
-    LinkSpec,
+    LinkOverride,
+    LinksConfig,
     SchedulingInPast,
     UnknownReceiver,
 )
@@ -23,8 +23,8 @@ from ansim.scenario import load_scenario
 
 def make_engine(seed=1, latency=10, jitter=0, loss=0.0, nodes=(1, 2, 3),
                 recorder=None, trace=None):
-    links = LinkModel(default=LinkSpec(latency_ms=latency, jitter_ms=jitter,
-                                       loss_probability=loss))
+    links = LinksConfig(latency_ms=latency, jitter_ms=jitter,
+                        loss_probability=loss)
     return Engine(seed=seed, links=links, node_ids=[CMU_ID, *nodes],
                   recorder=recorder, trace=trace)
 
@@ -136,8 +136,9 @@ def test_total_loss_drops_everything():
 
 
 def test_link_override_changes_one_pair():
-    links = LinkModel(default=LinkSpec(latency_ms=10),
-                      overrides={(1, 2): LinkSpec(latency_ms=40)})
+    links = LinksConfig(latency_ms=10, overrides=(
+        LinkOverride(src=1, dst=2, latency_ms=40, jitter_ms=0,
+                     loss_probability=0.0),))
     eng = Engine(seed=1, links=links, node_ids=[CMU_ID, 1, 2, 3])
     seen = []
     eng.on_deliver = lambda env: seen.append((eng.now, env.receiver))
@@ -150,7 +151,7 @@ def test_link_override_changes_one_pair():
 def test_crashed_sender_transmits_nothing():
     rec = SpyRecorder()
     eng = make_engine(recorder=rec)
-    eng.inject(FaultSpec(target=1, kind=FaultKind.CRASH, at=5))
+    eng.inject(FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=5))
     eng.run_until(5)
     assert 1 in eng.crashed
     assert eng.send(data_env(sender=1, at=5)) is False
@@ -162,7 +163,8 @@ def test_crashed_sender_transmits_nothing():
 def test_drop_next_n_swallows_exactly_n_data_packets():
     rec = SpyRecorder()
     eng = make_engine(recorder=rec)
-    eng.inject(FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at=0, n=3))
+    eng.inject(FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at_ms=0,
+                         n=3))
     eng.run_until(0)
     outcomes = []
     for _ in range(4):
@@ -171,14 +173,15 @@ def test_drop_next_n_swallows_exactly_n_data_packets():
     assert outcomes == [False, False, False, True]
     assert [d for _, _, d in rec.calls] == [False, False, False, True]
     assert not eng.is_responsive(1)
-    eng.inject(FaultSpec(target=1, kind=FaultKind.RESTORE, at=0))
+    eng.inject(FaultSpec(target=1, kind=FaultKind.RESTORE, at_ms=0))
     eng.run_until(0)
     assert eng.is_responsive(1)
 
 
 def test_drop_fault_spares_non_data_kinds():
     eng = make_engine()
-    eng.inject(FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at=0, n=2))
+    eng.inject(FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at_ms=0,
+                         n=2))
     eng.run_until(0)
     pong = Envelope(kind=EnvelopeKind.PONG, sender=1, receiver=2,
                     payload=b"p" * 16, sent_at=0, wire_len=16)
@@ -191,7 +194,7 @@ def test_drop_fault_spares_non_data_kinds():
 
 def test_drop_fault_requires_positive_n():
     with pytest.raises(SimError):
-        FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at=0, n=0)
+        FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at_ms=0, n=0)
 
 
 def test_forced_loss_hook():
@@ -209,7 +212,7 @@ def test_forced_losses_pick_sends_by_sequence_number():
     rec = SpyRecorder()
     eng = make_engine(recorder=rec)
     eng.force_lose(2, 4, 7)
-    eng.inject(FaultSpec(target=3, kind=FaultKind.CRASH, at=0))
+    eng.inject(FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=0))
     eng.run_until(0)
     sends = [(1, 2), (2, 1), (3, 1), (1, 3), (1, 2), (2, 3), (1, 2)]
     outcomes = [eng.send(data_env(sender=s, receiver=r)) for s, r in sends]
@@ -228,7 +231,7 @@ def test_trace_line_format():
     eng = make_engine(trace=trace)
     eng.schedule_timer(5, 1, "tick", 7)
     eng.send(data_env(sender=1, receiver=BROADCAST, length=12))
-    eng.inject(FaultSpec(target=2, kind=FaultKind.CRASH, at=8))
+    eng.inject(FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=8))
     eng.run_until(20)
     assert any(line.split("\t")[2:] == ["timer/tick", "1", "-", "0"]
                for line in trace)

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from ansim import audit
+from ansim.kernel import FaultKind, FaultSpec
 from ansim.metrics import RunReport
 from ansim.model import (
     BROADCAST,
@@ -25,7 +26,6 @@ from ansim.model import (
 )
 from ansim.runner import PROFILE_ORDER, build_simulation, run_scenario
 from ansim.scenario import (
-    FaultEntry,
     LinksConfig,
     NodeSpec,
     ScenarioConfig,
@@ -43,7 +43,7 @@ def late_crash_after_failover():
     plus a crash of sensor 5 at 210 s."""
     cfg = load_scenario("admin-failover")
     return dataclasses.replace(cfg, faults=cfg.faults + (
-        FaultEntry(target=5, kind="crash", at_ms=210000),))
+        FaultSpec(target=5, kind=FaultKind.CRASH, at_ms=210000),))
 
 
 def make_cfg(n_nodes, *, faults=(), duration_ms=300000, profile="plain"):
@@ -148,10 +148,10 @@ def lossy_churn_cfg():
     drops packets and is repaired, and the administrator crashes and comes
     back."""
     cfg = make_cfg(12, profile="auth-encap", duration_ms=400000, faults=[
-        FaultEntry(target=5, kind="drop_next_n", at_ms=40000, n=3),
-        FaultEntry(target=5, kind="restore", at_ms=150000),
-        FaultEntry(target=1, kind="crash", at_ms=90000),
-        FaultEntry(target=1, kind="restore", at_ms=220000)])
+        FaultSpec(target=5, kind=FaultKind.DROP_NEXT_N, at_ms=40000, n=3),
+        FaultSpec(target=5, kind=FaultKind.RESTORE, at_ms=150000),
+        FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=90000),
+        FaultSpec(target=1, kind=FaultKind.RESTORE, at_ms=220000)])
     return dataclasses.replace(cfg, links=LinksConfig(
         latency_ms=10, jitter_ms=5, loss_probability=0.05))
 
@@ -218,11 +218,11 @@ def info(cause, subject, at):
 
 def test_audit_wants_the_last_word_on_a_crashed_node_to_be_a_removal():
     cfg = make_cfg(4, faults=[
-        FaultEntry(target=2, kind="crash", at_ms=10000),
-        FaultEntry(target=3, kind="crash", at_ms=10000),
-        FaultEntry(target=3, kind="restore", at_ms=20000),
+        FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=10000),
+        FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=10000),
+        FaultSpec(target=3, kind=FaultKind.RESTORE, at_ms=20000),
         # too close to the end to be owed a removal
-        FaultEntry(target=4, kind="crash", at_ms=250000)])
+        FaultSpec(target=4, kind=FaultKind.CRASH, at_ms=250000)])
     assert audit.audit_crashed_nodes_removed(report_with([]), cfg) == [
         "node 2 crashed at t=10000 and was never removed"]
     removed = [info(Cause.REMOVAL, 2, 40000)]
@@ -244,8 +244,8 @@ def test_the_bound_covers_a_crash_just_before_a_failover(profile):
     # of the next 33 s, so some runs lose it just before its third miss
     for delay in range(0, 33001, 1000):
         cfg = make_cfg(5, profile=profile, faults=[
-            FaultEntry(target=3, kind="crash", at_ms=15000),
-            FaultEntry(target=1, kind="crash", at_ms=15000 + delay)])
+            FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=15000),
+            FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=15000 + delay)])
         report = run_scenario(cfg).report
         removals = [n.at for n in report.notifications
                     if n.cause is Cause.REMOVAL and n.subject == 3]
@@ -261,7 +261,7 @@ def test_the_bound_covers_a_crash_just_before_a_failover(profile):
 def test_a_lost_alert_still_gets_its_subject_removed(profile):
     cfg = dataclasses.replace(
         load_scenario("fire-sensor-dropout"),
-        faults=(FaultEntry(target=3, kind="crash", at_ms=30000),))
+        faults=(FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=30000),))
     alert = seq_of_send(cfg, profile, lambda env: (
         env.kind is EnvelopeKind.ALERT and env.subject == 3))
     report = run_losing(cfg, profile, alert)
@@ -273,7 +273,7 @@ def reentry_then_crash():
     plus a crash of node 3 at 320 s."""
     cfg = load_scenario("fire-sensor-dropout")
     return dataclasses.replace(cfg, faults=cfg.faults + (
-        FaultEntry(target=3, kind="crash", at_ms=320000),))
+        FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=320000),))
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)
@@ -334,9 +334,9 @@ def test_a_lone_administrators_crash_is_removed(profile):
     # node 2 succeeds crashed node 1 with an empty roster: sensor 3 is gone
     # and the management unit does not supervise, so nobody watches node 2
     cfg = make_cfg(3, profile=profile, faults=[
-        FaultEntry(target=3, kind="crash", at_ms=15000),
-        FaultEntry(target=1, kind="crash", at_ms=60000),
-        FaultEntry(target=2, kind="crash", at_ms=150000)])
+        FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=15000),
+        FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=60000),
+        FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=150000)])
     result = run_scenario(cfg)
     assert result.network.admin_id == 2
     assert audit.audit_crashed_nodes_removed(result.report, cfg) == []

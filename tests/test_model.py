@@ -14,7 +14,6 @@ from ansim.model import (
     Envelope,
     EnvelopeKind,
     Notification,
-    NodeProfile,
     NodeStatus,
     Role,
     Severity,
@@ -29,15 +28,6 @@ def test_rank_partition():
     # the administrator is the only role above the low rank
     assert {r for r in Role if is_lrn(r)} == {Role.FIRE_SENSOR, Role.LOW_RANK}
     assert {r for r in Role if not is_lrn(r)} == {Role.ADMINISTRATOR}
-
-
-def test_node_profile_validation():
-    p = NodeProfile(node_id=3, hardware_id=900, processing_power=50)
-    assert (p.node_id, p.hardware_id, p.processing_power) == (3, 900, 50)
-    with pytest.raises(SimError):
-        NodeProfile(node_id=-1, hardware_id=1, processing_power=10)
-    with pytest.raises(SimError):
-        NodeProfile(node_id=1, hardware_id=1, processing_power=0)
 
 
 def test_category_map_is_total_and_kind_pure():

@@ -19,7 +19,6 @@ from ansim.model import (
     Cause,
     Envelope,
     EnvelopeKind,
-    NodeProfile,
     NodeStatus,
     Role,
     Severity,
@@ -37,7 +36,6 @@ from ansim.protocol import (
 )
 from ansim.runner import PROFILE_ORDER, build_simulation, run_scenario
 from ansim.scenario import (
-    FaultEntry,
     LinkOverride,
     LinksConfig,
     NodeSpec,
@@ -172,14 +170,14 @@ def test_unresponsive_candidate_never_selected():
 
 # ------------------------------------------------------------ initial roles
 
-def node_profile(node_id, power):
-    return NodeProfile(node_id=node_id, hardware_id=9000 + node_id,
-                       processing_power=power)
+def node_spec(node_id, power):
+    return NodeSpec(id=node_id, hardware_id=9000 + node_id,
+                    processing_power=power)
 
 
 def test_initial_roles_highest_power_becomes_admin():
-    profiles = [node_profile(i, 120 if i == 1 else 100) for i in range(1, 8)]
-    changes = assign_initial_roles(profiles)
+    specs = [node_spec(i, 120 if i == 1 else 100) for i in range(1, 8)]
+    changes = assign_initial_roles(specs)
     assert changes[0].node == 1
     assert changes[0].to_role is Role.ADMINISTRATOR
     assert [c.node for c in changes[1:]] == [2, 3, 4, 5, 6, 7]
@@ -189,19 +187,19 @@ def test_initial_roles_highest_power_becomes_admin():
 
 
 def test_initial_roles_argmax_position_irrelevant():
-    changes = assign_initial_roles([node_profile(1, 10), node_profile(2, 50),
-                                    node_profile(3, 30)])
+    changes = assign_initial_roles([node_spec(1, 10), node_spec(2, 50),
+                                    node_spec(3, 30)])
     assert changes[0].node == 2 and changes[0].to_role is Role.ADMINISTRATOR
 
 
 def test_initial_roles_tie_goes_to_lower_id():
-    changes = assign_initial_roles([node_profile(4, 70), node_profile(2, 70),
-                                    node_profile(9, 70)])
+    changes = assign_initial_roles([node_spec(4, 70), node_spec(2, 70),
+                                    node_spec(9, 70)])
     assert changes[0].node == 2
 
 
 def test_single_node_becomes_admin():
-    changes = assign_initial_roles([node_profile(5, 1)])
+    changes = assign_initial_roles([node_spec(5, 1)])
     assert [(c.node, c.to_role) for c in changes] \
         == [(5, Role.ADMINISTRATOR)]
 
@@ -214,15 +212,15 @@ def test_empty_network_is_an_error():
 @settings(max_examples=200)
 @given(st.lists(st.integers(1, 1000), min_size=1, max_size=20, unique=True))
 def test_initial_admin_matches_brute_force(powers):
-    profiles = [node_profile(i + 1, p) for i, p in enumerate(powers)]
+    specs = [node_spec(i + 1, p) for i, p in enumerate(powers)]
     best = None
-    for p in profiles:
+    for p in specs:
         if best is None or p.processing_power > best.processing_power or (
                 p.processing_power == best.processing_power
-                and p.node_id < best.node_id):
+                and p.id < best.id):
             best = p
-    changes = assign_initial_roles(profiles)
-    assert changes[0].node == best.node_id
+    changes = assign_initial_roles(specs)
+    assert changes[0].node == best.id
 
 
 def test_reentry_change_must_land_in_the_low_rank():
@@ -252,7 +250,8 @@ def test_succession_measured_over_live_links():
                                       jitter_ms=0, loss_probability=0.0))
         overrides.append(LinkOverride(src=node, dst=CMU_ID, latency_ms=lat,
                                       jitter_ms=0, loss_probability=0.0))
-    cfg = make_cfg(4, faults=[FaultEntry(target=1, kind="crash", at_ms=60000)],
+    cfg = make_cfg(4, faults=[FaultSpec(target=1, kind=FaultKind.CRASH,
+                                        at_ms=60000)],
                    overrides=overrides)
     net = run_scenario(cfg).network
     # ping at t, pong back at t + 2 * latency: the table orders by wire rtt
@@ -273,7 +272,8 @@ def test_succession_measured_over_live_links():
 
 
 def test_two_node_failover_promotes_the_last_sensor():
-    cfg = make_cfg(2, faults=[FaultEntry(target=1, kind="crash", at_ms=60000)],
+    cfg = make_cfg(2, faults=[FaultSpec(target=1, kind=FaultKind.CRASH,
+                                        at_ms=60000)],
                    duration_ms=150000)
     net = run_scenario(cfg).network
     assert net.admin_id == 2
@@ -283,9 +283,9 @@ def test_two_node_failover_promotes_the_last_sensor():
 
 
 def test_supervision_when_no_candidate_answers():
-    faults = [FaultEntry(target=1, kind="crash", at_ms=60000),
-              FaultEntry(target=2, kind="crash", at_ms=71305),
-              FaultEntry(target=3, kind="crash", at_ms=71305)]
+    faults = [FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=60000),
+              FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=71305),
+              FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=71305)]
     net = run_scenario(make_cfg(3, faults=faults, duration_ms=90000)).network
     assert net.supervising is True
     assert net.admin_id is None
@@ -298,11 +298,11 @@ def test_supervision_when_no_candidate_answers():
 
 
 def test_supervised_sensors_report_to_management_unit():
-    faults = [FaultEntry(target=1, kind="crash", at_ms=60000),
-              FaultEntry(target=2, kind="crash", at_ms=71305),
-              FaultEntry(target=3, kind="crash", at_ms=71305),
-              FaultEntry(target=2, kind="restore", at_ms=80000),
-              FaultEntry(target=3, kind="restore", at_ms=80000)]
+    faults = [FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=60000),
+              FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=71305),
+              FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=71305),
+              FaultSpec(target=2, kind=FaultKind.RESTORE, at_ms=80000),
+              FaultSpec(target=3, kind=FaultKind.RESTORE, at_ms=80000)]
     cfg = make_cfg(3, faults=faults, duration_ms=240000)
     result = run_scenario(cfg, with_trace=True)
     net = result.network
@@ -326,9 +326,9 @@ def test_supervised_sensors_report_to_management_unit():
 def test_failover_with_no_candidate_goes_straight_to_supervision():
     # node 1 is demoted by the first failover and re-enters; when node 2
     # then crashes, no granted, undemoted, active sensor is left to measure
-    faults = [FaultEntry(target=1, kind="crash", at_ms=60000),
-              FaultEntry(target=1, kind="restore", at_ms=100000),
-              FaultEntry(target=2, kind="crash", at_ms=300000)]
+    faults = [FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=60000),
+              FaultSpec(target=1, kind=FaultKind.RESTORE, at_ms=100000),
+              FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=300000)]
     result = run_scenario(make_cfg(2, faults=faults, duration_ms=600000))
     net = result.network
     failovers = [(n.severity, n.subject, n.at) for n in net.notifications
@@ -349,8 +349,8 @@ def test_confirm_timeout_moves_on_to_the_next_candidate():
         overrides.append(LinkOverride(src=node, dst=CMU_ID, latency_ms=lat,
                                       jitter_ms=0, loss_probability=0.0))
     # node 2 answers its rtt ping and crashes before the confirm ping lands
-    faults = [FaultEntry(target=1, kind="crash", at_ms=60000),
-              FaultEntry(target=2, kind="crash", at_ms=71347)]
+    faults = [FaultSpec(target=1, kind=FaultKind.CRASH, at_ms=60000),
+              FaultSpec(target=2, kind=FaultKind.CRASH, at_ms=71347)]
     net = run_scenario(make_cfg(3, faults=faults, overrides=overrides,
                                 duration_ms=120000)).network
     assert [(e.node, e.rtt) for e in net.succession_tables[0].entries] \
@@ -368,8 +368,9 @@ def test_alert_during_failover_removes_its_subject_when_failover_ends(
     # node 1 first, and node 1's alert about node 3 arrives while the
     # failover it started is measuring, so node 3 is removed only once
     # node 2 is promoted
-    faults = [FaultEntry(target=3, kind="crash", at_ms=15000),
-              FaultEntry(target=1, kind="drop_next_n", at_ms=21000, n=100)]
+    faults = [FaultSpec(target=3, kind=FaultKind.CRASH, at_ms=15000),
+              FaultSpec(target=1, kind=FaultKind.DROP_NEXT_N, at_ms=21000,
+                        n=100)]
     cfg = dataclasses.replace(
         make_cfg(3, powers=[200, 100, 100], faults=faults,
                  duration_ms=60000, profile=profile),
@@ -459,7 +460,8 @@ def test_no_handshakes_outside_session_profile():
 @pytest.mark.parametrize("profile", ["auth", "auth-encap"])
 def test_tampered_broadcast_fails_at_every_eligible_receiver(profile):
     cfg = make_cfg(5, profile=profile, duration_ms=20000,
-                   faults=[FaultEntry(target=4, kind="crash", at_ms=10000)])
+                   faults=[FaultSpec(target=4, kind=FaultKind.CRASH,
+                                     at_ms=10000)])
     engine, net, _, _ = build_simulation(cfg)
     engine.run_until(cfg.duration_ms)
     wrapped = security.wrap(net.profile, net.keys,
@@ -573,7 +575,8 @@ def test_unregistered_receivers_fail_every_bootstrap_role_assignment():
     # a crashed receiver is not eligible, so it logs nothing
     cfg = make_cfg(n, profile="auth-encap", duration_ms=1000,
                    registered=[i not in unregistered for i in range(1, n + 1)],
-                   faults=[FaultEntry(target=21, kind="crash", at_ms=0)])
+                   faults=[FaultSpec(target=21, kind=FaultKind.CRASH,
+                                     at_ms=0)])
     engine, net, _, trace = build_simulation(cfg, with_trace=True)
     engine.run_until(10)
     assignments = [line for line in trace
@@ -614,7 +617,7 @@ def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
     st.status = status
     if crash:
         engine.inject(FaultSpec(target=node, kind=FaultKind.CRASH,
-                                at=engine.now))
+                                at_ms=engine.now))
         engine.run_until(engine.now)
     heard = []
 
@@ -701,7 +704,8 @@ def lossy_failover_cfg():
     """Six auth-encap nodes on lossy, jittery links; the administrator
     crashes at 60 s."""
     cfg = make_cfg(6, profile="auth-encap", duration_ms=200000,
-                   faults=[FaultEntry(target=1, kind="crash", at_ms=60000)])
+                   faults=[FaultSpec(target=1, kind=FaultKind.CRASH,
+                                     at_ms=60000)])
     return dataclasses.replace(cfg, links=LinksConfig(
         latency_ms=10, jitter_ms=5, loss_probability=0.05))
 

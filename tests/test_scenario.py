@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from ansim.kernel import FaultKind, FaultSpec
 from ansim.runner import run_scenario
 from ansim.scenario import (
-    FaultEntry,
+    LinkOverride,
+    LinksConfig,
     ScenarioError,
     SecurityConfig,
     TimersConfig,
@@ -39,13 +41,22 @@ def errors_of(text):
 
 
 def test_minimal_scenario_parses_with_defaults():
-    cfg = parse_scenario(minimal())
+    cfg = parse_scenario(minimal(
+        faults=[{"target": 2, "kind": "crash", "at_ms": 5}]))
     assert cfg.timers.status_period_ms == 5000
     assert cfg.timers.sensor_data_period_ms == 10000
     assert cfg.timers.rtt_timeout_ms == 2000
     assert cfg.links.latency_ms == 10
     assert cfg.security.profile == "plain"
     assert cfg.node_ids() == [1, 2]
+    # each default has one home, its config dataclass, and the parser
+    # reads it from there
+    assert cfg.links == LinksConfig()
+    assert cfg.timers == TimersConfig()
+    assert cfg.security == SecurityConfig()
+    assert [n.registered for n in cfg.nodes] == [True, True]
+    assert cfg.faults == (FaultSpec(target=2, kind=FaultKind.CRASH,
+                                    at_ms=5, n=0),)
 
 
 def test_bundled_names_present():
@@ -77,6 +88,14 @@ def test_duplicate_node_id_names_both_occurrences():
     ])
     errs = errors_of(doc)
     assert any("nodes[2].id" in e and "nodes[0].id" in e for e in errs)
+
+
+def test_repeated_link_override_names_both_occurrences():
+    ov = {"src": 2, "dst": 1, "latency_ms": 40}
+    doc = minimal(links={"overrides": [ov, {"src": 1, "dst": 2},
+                                       {**ov, "latency_ms": 20}]})
+    assert errors_of(doc) == [
+        "links.overrides[2]: duplicate of links.overrides[0] (2 -> 1)"]
 
 
 def test_fault_with_unknown_target():
@@ -137,8 +156,29 @@ def test_latency_must_fit_inside_grace_window():
                   timers={"status_period_ms": 5000})
     errs = errors_of(doc)
     assert any("quarter" in e for e in errs)
-    # 1249 < 5000 // 4 passes
+    # 1249 < 5000 // 4 passes; the bound is strict, counts jitter and
+    # holds on every override
     parse_scenario(minimal(links={"latency_ms": 1249}))
+    for links in ({"latency_ms": 1250},
+                  {"latency_ms": 1240, "jitter_ms": 10},
+                  {"overrides": [{"src": 1, "dst": 2, "latency_ms": 1250}]}):
+        assert any("quarter" in e for e in errors_of(minimal(links=links)))
+
+
+def test_tota_skew_must_cover_the_steps_a_link_crosses():
+    # a response's step is taken when its challenge arrives and checked one
+    # 10 ms link later: two 5 ms steps on, or at most one 30 s step on
+    assert errors_of(minimal(security={"tota_time_step_ms": 5})) == [
+        "security.tota_skew_steps: must be >= 2, the number of 5 ms time "
+        "steps that latency plus jitter of up to 10 ms can cross"]
+    assert errors_of(minimal(security={"tota_skew_steps": 0})) == [
+        "security.tota_skew_steps: must be >= 1, the number of 30000 ms "
+        "time steps that latency plus jitter of up to 10 ms can cross"]
+    parse_scenario(minimal(security={"tota_time_step_ms": 5,
+                                     "tota_skew_steps": 2}))
+    # a step already rejected is not divided by
+    assert errors_of(minimal(security={"tota_time_step_ms": 0})) == [
+        "security.tota_time_step_ms: must be > 0"]
 
 
 def test_invalid_json_reported_as_single_error():
@@ -166,6 +206,19 @@ def test_load_unknown_lists_bundled():
     assert "paper-case1" in str(exc.value)
 
 
+def test_link_override_and_drop_fault_round_trip():
+    cfg = parse_scenario(minimal(
+        links={"latency_ms": 20, "jitter_ms": 3,
+               "overrides": [{"src": 2, "dst": 1, "latency_ms": 40}]},
+        faults=[{"target": 2, "kind": "drop_next_n", "at_ms": 5, "n": 3}]))
+    # an override takes what it leaves out from the default link
+    assert cfg.links.overrides == (LinkOverride(
+        src=2, dst=1, latency_ms=40, jitter_ms=3, loss_probability=0.0),)
+    assert cfg.faults == (FaultSpec(target=2, kind=FaultKind.DROP_NEXT_N,
+                                    at_ms=5, n=3),)
+    assert parse_scenario(scenario_to_json(cfg)) == cfg
+
+
 def test_unregistered_node_flag_round_trips():
     doc = json.loads(minimal())
     doc["nodes"][1]["registered"] = False
@@ -182,7 +235,7 @@ def failover_with_a_silent_candidate():
     starts, so the succession measurement waits out ``rtt_timeout_ms``."""
     cfg = load_scenario("admin-failover")
     return dataclasses.replace(cfg, faults=cfg.faults + (
-        FaultEntry(target=7, kind="crash", at_ms=65000),))
+        FaultSpec(target=7, kind=FaultKind.CRASH, at_ms=65000),))
 
 
 def with_settings(cfg, section, **values):

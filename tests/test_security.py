@@ -41,8 +41,8 @@ from ansim.security import (
 
 PROFILES = {
     "plain": SecurityProfile.plain(),
-    "auth": SecurityProfile.auth_only(),
-    "auth-encap": SecurityProfile.auth_encap(),
+    "auth": SecurityProfile.auth_only(40),
+    "auth-encap": SecurityProfile.auth_encap(40, 320, 64),
 }
 
 
@@ -353,7 +353,8 @@ def test_session_holders_of_a_pair_and_of_the_group():
 # ------------------------------------------------------------------ one-time
 
 def test_tota_accept_then_replay():
-    state = TotaState(secret=b"shared")
+    state = TotaState(secret=b"shared", time_step_ms=30000,
+                      skew_steps=1)
     at = 65000
     step = state.step_at(at)
     resp = tota_response(b"shared", prover=3, nonce=77, step=step)
@@ -362,7 +363,8 @@ def test_tota_accept_then_replay():
 
 
 def test_tota_accepts_within_skew_window():
-    state = TotaState(secret=b"shared", skew_steps=1)
+    state = TotaState(secret=b"shared", time_step_ms=30000,
+                      skew_steps=1)
     at = 65000
     current = state.step_at(at)
     for offset in (-1, 0, 1):
@@ -371,7 +373,8 @@ def test_tota_accepts_within_skew_window():
 
 
 def test_tota_reports_skew_outside_window():
-    state = TotaState(secret=b"shared", skew_steps=1)
+    state = TotaState(secret=b"shared", time_step_ms=30000,
+                      skew_steps=1)
     at = 30000 * 200
     current = state.step_at(at)
     resp = tota_response(b"shared", 3, 5, current + 2)
@@ -381,7 +384,8 @@ def test_tota_reports_skew_outside_window():
 
 
 def test_tota_rejects_wrong_secret_as_bad_digest():
-    state = TotaState(secret=b"shared")
+    state = TotaState(secret=b"shared", time_step_ms=30000,
+                      skew_steps=1)
     at = 65000
     resp = tota_response(b"not-shared", 3, 8, state.step_at(at))
     assert tota_verify(state, 3, 8, resp, at) is TotaOutcome.BAD_DIGEST
@@ -390,7 +394,8 @@ def test_tota_rejects_wrong_secret_as_bad_digest():
 def test_tota_thousand_sequences_single_use():
     # oracle: an independent used-set mirror; every fresh pair accepts once,
     # every repeat replays, regardless of interleaving
-    state = TotaState(secret=b"shared", skew_steps=1)
+    state = TotaState(secret=b"shared", time_step_ms=30000,
+                      skew_steps=1)
     rng = random.Random(99)
     mirror: set[tuple[int, int]] = set()
     accepted = replayed = 0
