@@ -14,7 +14,9 @@ probing and reentry at 120 nodes, unregistered nodes among the receivers
 of a lossy 40-node network, signature tags longer than one blake2b
 digest, directed links that override the default latency, jitter and
 loss, jitter bounds on both sides of a power of two, and a sensor that
-crashes after a failover.
+crashes after a failover. A ``wire/<scenario>/<profile>`` key per bundled
+run pins what went on the air: the payload, tag and sealing key of every
+recorded send, which neither the report nor the trace shows.
 
 The simulator is imported from ``src/`` of the checkout this file sits in,
 whatever ``PYTHONPATH`` or an installed ``ansim`` would provide.
@@ -31,7 +33,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from ansim.kernel import FaultKind, FaultSpec  # noqa: E402
-from ansim.runner import PROFILE_ORDER, run_scenario  # noqa: E402
+from ansim.runner import (  # noqa: E402
+    PROFILE_ORDER,
+    build_simulation,
+    run_scenario,
+)
 from ansim.scenario import (  # noqa: E402
     builtin_scenario_names,
     load_scenario,
@@ -164,9 +170,37 @@ def run_digest(cfg, profile) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def wire_digest(cfg, profile) -> str:
+    """sha256 over every recorded send, one line each: its number, kind,
+    sender, receiver, payload, send time, wire length, tag, sealing key id
+    and whether it was delivered."""
+    engine, _, recorder, _ = build_simulation(cfg, profile=profile)
+    h = hashlib.sha256()
+    record = recorder.record_send
+
+    def hashing(seq, env, delivered):
+        tag = "-" if env.tag is None else env.tag.hex()
+        h.update(f"{seq}\t{env.kind.value}\t{env.sender}\t{env.receiver}\t"
+                 f"{env.payload.hex()}\t{env.sent_at}\t{env.wire_len}\t"
+                 f"{tag}\t{env.sealed_key_id or '-'}\t{int(delivered)}\n"
+                 .encode())
+        record(seq, env, delivered)
+
+    recorder.record_send = hashing
+    engine.run_until(cfg.duration_ms)
+    return h.hexdigest()
+
+
 def golden_digests() -> dict[str, str]:
-    return {key: run_digest(cfg, profile)
-            for key, cfg, profile in digest_cases()}
+    """The report-and-trace digest of every case, then the wire digest of
+    each case that runs a bundled scenario."""
+    bundled = set(builtin_scenario_names())
+    cases = list(digest_cases())
+    digests = {key: run_digest(cfg, profile) for key, cfg, profile in cases}
+    digests.update((f"wire/{key}", wire_digest(cfg, profile))
+                   for key, cfg, profile in cases
+                   if key.partition("/")[0] in bundled)
+    return digests
 
 
 def golden_traces() -> dict[str, str]:
@@ -209,7 +243,7 @@ def main(argv=None) -> int:
     digests = golden_digests()
     DIGESTS_FILE.write_text(json.dumps(digests, indent=2) + "\n",
                             encoding="utf-8")
-    print(f"wrote {DIGESTS_FILE} ({len(digests)} runs)")
+    print(f"wrote {DIGESTS_FILE} ({len(digests)} digests)")
     return 0
 
 

@@ -81,12 +81,6 @@ class LinksConfig:
 
 
 @dataclass
-class _NodeFault:
-    defect_present: bool = False
-    drop_remaining: int = 0
-
-
-@dataclass
 class KernelStats:
     scheduled: int = 0
     dispatched: int = 0
@@ -119,10 +113,13 @@ class Engine:
         self._buckets: dict[int, list[tuple[int, object]]] = {}
         self._send_seq = 0
         self._known: set[int] = set(node_ids)
-        self._faults: dict[int, _NodeFault] = {n: _NodeFault() for n in self._known}
         # ids of the nodes crashed and not yet restored; read, never written,
         # outside the kernel
         self.crashed: set[int] = set()
+        # nodes with an injected defect not yet restored, crashed ones too
+        self._defective: set[int] = set()
+        # node -> data packets its radio still drops, for counts above 0
+        self._drops: dict[int, int] = {}
         # test hook: sequence numbers of the sends to lose; see force_lose
         self._forced_losses: set[int] = set()
         self.on_deliver: Callable[[Envelope], None] = lambda env: None
@@ -234,46 +231,40 @@ class Engine:
             return False
 
         seq = self._send_seq = self._send_seq + 1
-        recorder = self.recorder
-
-        fault = self._faults.get(sender)
-        if (fault is not None and fault.drop_remaining > 0
-                and env.kind in DATA_PACKET_KINDS):
-            fault.drop_remaining -= 1
-            if recorder is not None:
-                recorder.record_send(seq, env, False)
-            return False
-
+        drops = self._drops
         forced = self._forced_losses
-        if forced and seq in forced:
+        if drops and sender in drops and env.kind in DATA_PACKET_KINDS:
+            if drops[sender] > 1:
+                drops[sender] -= 1
+            else:
+                del drops[sender]
+            delivered = False
+        elif forced and seq in forced:
             forced.remove(seq)
-            if recorder is not None:
-                recorder.record_send(seq, env, False)
-            return False
-
-        overrides = self._overrides
-        spec = (overrides.get((sender, receiver), self.links) if overrides
-                else self.links)
-        loss = spec.loss_probability
-        if loss > 0 and self.rng.random() < loss:
-            if recorder is not None:
-                recorder.record_send(seq, env, False)
-            return False
-
-        latency = spec.latency_ms
-        span = spec.jitter_ms + 1
-        if span > 1:
-            # randint(0, jitter)'s draws, without its three Python frames
-            bits = span.bit_length()
-            draw = self.rng.getrandbits
-            extra = draw(bits)
-            while extra >= span:
-                extra = draw(bits)
-            latency += extra
-        self.schedule(self.now + latency, env)
+            delivered = False
+        else:
+            overrides = self._overrides
+            spec = (overrides.get((sender, receiver), self.links)
+                    if overrides else self.links)
+            loss = spec.loss_probability
+            delivered = not (loss > 0 and self.rng.random() < loss)
+            if delivered:
+                latency = spec.latency_ms
+                span = spec.jitter_ms + 1
+                if span > 1:
+                    # randint(0, jitter)'s draws, without its three Python
+                    # frames
+                    bits = span.bit_length()
+                    draw = self.rng.getrandbits
+                    extra = draw(bits)
+                    while extra >= span:
+                        extra = draw(bits)
+                    latency += extra
+                self.schedule(self.now + latency, env)
+        recorder = self.recorder
         if recorder is not None:
-            recorder.record_send(seq, env, True)
-        return True
+            recorder.record_send(seq, env, delivered)
+        return delivered
 
     def force_lose(self, *seqs: int) -> None:
         """Fault-injection hook: lose the sends numbered ``seqs``. Sends are
@@ -287,20 +278,18 @@ class Engine:
         self.schedule(fault.at_ms, fault)
 
     def _apply_fault(self, fault: FaultSpec) -> None:
-        state = self._faults.setdefault(fault.target, _NodeFault())
+        target = fault.target
+        if fault.kind is FaultKind.RESTORE:
+            self.crashed.discard(target)
+            self._defective.discard(target)
+            self._drops.pop(target, None)
+            return
+        self._defective.add(target)
         if fault.kind is FaultKind.DROP_NEXT_N:
-            state.defect_present = True
-            state.drop_remaining += fault.n
+            self._drops[target] = self._drops.get(target, 0) + fault.n
         elif fault.kind is FaultKind.CRASH:
-            self.crashed.add(fault.target)
-            state.defect_present = True
-        elif fault.kind is FaultKind.RESTORE:
-            self.crashed.discard(fault.target)
-            state.defect_present = False
-            state.drop_remaining = 0
+            self.crashed.add(target)
 
     def is_responsive(self, node: int) -> bool:
         """A node answers diagnostics only while free of any injected defect."""
-        state = self._faults.get(node)
-        return node not in self.crashed and (
-            state is None or not state.defect_present)
+        return node not in self._defective

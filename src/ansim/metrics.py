@@ -13,10 +13,17 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .model import CATEGORY_BY_KIND, Category, Envelope, Notification, SimError
+from .model import (
+    CATEGORY_BY_KIND,
+    Category,
+    Envelope,
+    EnvelopeKind,
+    Notification,
+    SimError,
+)
 from .protocol import RoleChange
 
-# The report name of each kind's category, looked up once per send.
+# The report name of each kind's category.
 _CATEGORY_NAME = {kind: cat._value_ for kind, cat in CATEGORY_BY_KIND.items()}
 
 
@@ -25,37 +32,65 @@ class DoubleCount(SimError):
 
 
 class Recorder:
-    """Accumulates counts and bytes as the kernel reports each send."""
+    """Accumulates counts and bytes as the kernel reports each send.
+
+    A send adds to its kind's tally of sends, payload bytes and wire bytes;
+    the totals and the per-category splits are summed from the tallies
+    when read.
+    """
 
     def __init__(self) -> None:
-        # the kernel numbers sends in increasing order, so a sequence number
-        # at or below the last one recorded was already counted
-        self._last_seq: Optional[int] = None
-        self.sent = 0
-        self.delivered = 0
+        # the kernel numbers sends from 1 in increasing order, so a sequence
+        # number at or below the last one recorded was already counted
+        self._last_seq = 0
         self.lost = 0
-        self.payload_bytes = 0
-        self.wire_bytes = 0
-        self.bytes_by_category = {c.value: 0 for c in Category}
-        self.messages_by_category = {c.value: 0 for c in Category}
+        self._tallies = {kind: [0, 0, 0] for kind in EnvelopeKind}
 
     def record_send(self, seq: int, env: Envelope, delivered: bool) -> None:
-        if self._last_seq is not None and seq <= self._last_seq:
+        if seq <= self._last_seq:
             raise DoubleCount(
                 f"transmission {seq} was already recorded (last was "
                 f"{self._last_seq})")
         self._last_seq = seq
-        self.sent += 1
-        if delivered:
-            self.delivered += 1
-        else:
+        if not delivered:
             self.lost += 1
-        wire = env.wire_len
-        self.payload_bytes += len(env.payload)
-        self.wire_bytes += wire
-        cat = _CATEGORY_NAME[env.kind]
-        self.bytes_by_category[cat] += wire
-        self.messages_by_category[cat] += 1
+        tally = self._tallies[env.kind]
+        tally[0] += 1
+        tally[1] += len(env.payload)
+        tally[2] += env.wire_len
+
+    def _total(self, column: int) -> int:
+        return sum(tally[column] for tally in self._tallies.values())
+
+    def _by_category(self, column: int) -> dict[str, int]:
+        split = {c.value: 0 for c in Category}
+        for kind, tally in self._tallies.items():
+            split[_CATEGORY_NAME[kind]] += tally[column]
+        return split
+
+    @property
+    def sent(self) -> int:
+        return self._total(0)
+
+    @property
+    def delivered(self) -> int:
+        return self.sent - self.lost
+
+    @property
+    def payload_bytes(self) -> int:
+        return self._total(1)
+
+    @property
+    def wire_bytes(self) -> int:
+        return self._total(2)
+
+    @property
+    def messages_by_category(self) -> dict[str, int]:
+        return self._by_category(0)
+
+    @property
+    def bytes_by_category(self) -> dict[str, int]:
+        return self._by_category(2)
 
 
 def _notification_dict(n: Notification) -> dict:
@@ -108,8 +143,8 @@ class RunReport:
             delivered=recorder.delivered, lost=recorder.lost,
             payload_bytes=recorder.payload_bytes,
             wire_bytes=recorder.wire_bytes,
-            bytes_by_category=dict(recorder.bytes_by_category),
-            messages_by_category=dict(recorder.messages_by_category),
+            bytes_by_category=recorder.bytes_by_category,
+            messages_by_category=recorder.messages_by_category,
             notifications=list(network.notifications),
             role_changes=list(network.role_changes),
             final_admin=network.admin_id,

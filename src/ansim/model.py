@@ -174,11 +174,10 @@ class Envelope:
 
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:
-    """Deterministic filler payload of exactly ``length`` bytes."""
+    """Deterministic filler payload of exactly ``length`` bytes: the head
+    ``kind|sender|at|``, cut or zero-padded to ``length``."""
     head = f"{kind._value_}|{sender}|{at}|".encode()
-    if len(head) >= length:
-        return head[:length]
-    return head + bytes(length - len(head))
+    return head.ljust(length, b"\0")[:length]
 
 
 class Severity(IdentityHashEnum):

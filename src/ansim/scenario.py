@@ -190,6 +190,10 @@ def _parse_links(data: Any, errors: list[str],
         for label, endpoint in (("src", src), ("dst", dst)):
             if endpoint != CMU_ID and endpoint not in node_ids:
                 ro.err(label, f"unknown node id {endpoint}")
+        # a value taken from the default link was checked there
+        for key, value in (("latency_ms", olat), ("jitter_ms", ojit)):
+            if value < 0 and key in item:
+                ro.err(key, "must be >= 0")
         if not 0.0 <= oloss <= 1.0:
             ro.err("loss_probability", f"must be within [0, 1], got {oloss}")
         if (src, dst) in by_pair:

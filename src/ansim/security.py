@@ -56,6 +56,14 @@ class ProfileKind(IdentityHashEnum):
     AUTH_ENCAP = "auth-encap"
 
 
+# Reading a member off its Enum class, as in ``ProfileKind.PLAIN``, costs
+# about 0.1 us on Python 3.11, whose EnumType defines ``__getattr__``; the
+# per-message functions below compare with these module names instead.
+_PLAIN = ProfileKind.PLAIN
+_AUTH = ProfileKind.AUTH
+_AUTH_ENCAP = ProfileKind.AUTH_ENCAP
+
+
 @dataclass(frozen=True)
 class SecurityProfile:
     """Wrapping parameters for one run.
@@ -246,14 +254,15 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     Under auth-encap a unicast needs the pair's session (NoSessionKey
     otherwise) and a broadcast is sealed with the group key.
     """
-    if kind in BOOTSTRAP_KINDS or profile.kind is ProfileKind.PLAIN:
+    pkind = profile.kind
+    if pkind is _PLAIN or kind in BOOTSTRAP_KINDS:
         tag = key_id = None
         overhead = 0
     else:
         overhead = profile.overhead
         tag = _tag_for(keys, profile.sig_len, kind, sender, receiver,
                        payload, sent_at)
-        if profile.kind is ProfileKind.AUTH:
+        if pkind is _AUTH:
             key_id = None
         elif receiver == BROADCAST:
             key_id = GROUP_KEY_ID
@@ -264,7 +273,7 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
                     f"no session key for pair ({sender}, {receiver})")
     return Envelope(kind, sender, receiver, payload, sent_at,
                     len(payload) + overhead, subject, detail,
-                    profile.kind._value_, tag, key_id)
+                    pkind._value_, tag, key_id)
 
 
 def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
@@ -281,14 +290,15 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
     """
     if env.kind in BOOTSTRAP_KINDS:
         return env.payload
-    if env.profile_name != profile.kind._value_:
+    pkind = profile.kind
+    if env.profile_name != pkind._value_:
         raise ProfileMismatch(
             f"envelope wrapped as {env.profile_name or 'unwrapped'}, "
-            f"expected {profile.kind.value}")
-    if profile.kind is ProfileKind.PLAIN:
+            f"expected {pkind.value}")
+    if pkind is _PLAIN:
         return env.payload
 
-    if profile.kind is ProfileKind.AUTH_ENCAP:
+    if pkind is _AUTH_ENCAP:
         if env.sealed_key_id is None:
             raise WrongSessionKey("envelope carries no session key id")
         if (reader is not None
@@ -308,8 +318,7 @@ def key_holders(env: Envelope, profile: SecurityProfile,
     """The nodes that can open an envelope that ``unwrap`` verified without
     a reader: the holders of its sealing key, or None when the profile does
     not seal it and every receiver can."""
-    if (profile.kind is not ProfileKind.AUTH_ENCAP
-            or env.kind in BOOTSTRAP_KINDS):
+    if profile.kind is not _AUTH_ENCAP or env.kind in BOOTSTRAP_KINDS:
         return None
     return keys.session_holders(env.sealed_key_id)
 

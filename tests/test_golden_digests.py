@@ -30,6 +30,24 @@ def test_every_pinned_run_matches_its_digest():
     assert regen.golden_digests() == pinned
 
 
+def test_wire_digest_pins_payloads_that_no_report_or_trace_shows(
+        monkeypatch):
+    from ansim import protocol
+
+    regen = load_regen()
+    pinned = json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8"))
+    [(key, cfg, profile)] = [case for case in regen.digest_cases()
+                             if case[0] == "paper-case1/auth"]
+    assert regen.wire_digest(cfg, profile) == pinned[f"wire/{key}"]
+    filler = protocol.make_payload
+    # the same lengths with one byte changed: signed, verified and counted
+    # as before
+    monkeypatch.setattr(protocol, "make_payload",
+                        lambda *args: filler(*args)[:-1] + b"!")
+    assert regen.run_digest(cfg, profile) == pinned[key]
+    assert regen.wire_digest(cfg, profile) != pinned[f"wire/{key}"]
+
+
 # Prints the digest of fire-sensor-dropout under each profile as JSON.
 DIGEST_CHILD = """
 import importlib.util, json, sys

@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ansim.model import (
     BOOTSTRAP_KINDS,
@@ -107,6 +109,23 @@ def test_make_payload_deterministic():
     assert a == b
     assert a != c
     assert len(a) == 120
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(EnvelopeKind)),
+       sender=st.integers(0, 10**6), at=st.integers(0, 10**9),
+       offset=st.integers(-40, 200))
+@example(kind=EnvelopeKind.PING, sender=3, at=1000, offset=-1)
+@example(kind=EnvelopeKind.PING, sender=3, at=1000, offset=0)
+@example(kind=EnvelopeKind.PING, sender=3, at=1000, offset=1)
+def test_make_payload_bytes(kind, sender, at, offset):
+    # payload bytes reach no report or trace, so only this pins them: the
+    # head, cut to a length below its own or zero-padded to one above it
+    head = f"{kind.value}|{sender}|{at}|".encode()
+    length = max(0, len(head) + offset)
+    expected = (head[:length] if length <= len(head)
+                else head + b"\0" * (length - len(head)))
+    assert make_payload(kind, sender, at, length) == expected
 
 
 def test_notification_severity_is_fixed_per_cause():

@@ -98,6 +98,17 @@ def test_repeated_link_override_names_both_occurrences():
         "links.overrides[2]: duplicate of links.overrides[0] (2 -> 1)"]
 
 
+def test_negative_override_latency_and_jitter_are_rejected():
+    links = {"overrides": [{"src": 2, "dst": 0, "latency_ms": -5},
+                           {"src": 1, "dst": 2, "jitter_ms": -7}]}
+    assert errors_of(minimal(links=links)) == [
+        "links.overrides[0].latency_ms: must be >= 0",
+        "links.overrides[1].jitter_ms: must be >= 0"]
+    # an override that inherits a bad default is reported once, at the default
+    links = {"jitter_ms": -1, "overrides": [{"src": 2, "dst": 1}]}
+    assert errors_of(minimal(links=links)) == ["links.jitter_ms: must be >= 0"]
+
+
 def test_fault_with_unknown_target():
     doc = minimal(faults=[{"target": 99, "kind": "crash", "at_ms": 5}])
     errs = errors_of(doc)
