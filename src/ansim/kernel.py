@@ -90,11 +90,22 @@ class Engine:
     """Event loop plus the physical layer (links, faults, randomness).
 
     The queue is a heap of the distinct pending times plus, per time, a list
-    of its ``(sequence number, body)`` events. Sequence numbers only grow,
+    of its ``(sequence number, body)`` entries. Sequence numbers only grow,
     so each list is already in order, and scheduling at a time that is
     pending is a dict lookup and a list append. A delivery's body is its
     Envelope, a timer's the tuple ``(owner, tag, data)`` and a fault's its
     FaultSpec.
+
+    A timer run is the list ``[tag, owners, first_data]``: the timers
+    ``(owners[i], tag, first_data + i)`` due at one time, queued as one
+    entry that reserves one sequence number per owner. It is a list, not a
+    tuple, so that telling it from a timer costs a timer nothing. It is
+    traced and counted as its timers would be, one ``timer/<tag>`` line
+    and one dispatched event per owner under consecutive sequence numbers,
+    and is handed whole to ``on_timers``. Whatever that hook does, the run
+    is dispatched as a unit: if it raises, every timer of the run counts
+    as dispatched and none stays queued. The default hook hands each timer
+    to ``on_timer`` in turn.
     """
 
     def __init__(self, seed: int, links: LinksConfig,
@@ -127,13 +138,15 @@ class Engine:
 
     # ---------------------------------------------------------------- queue
 
-    def schedule(self, at: int, body: object) -> None:
+    def schedule(self, at: int, body: object, count: int = 1) -> None:
+        """Queue ``body`` at ``at`` under the next ``count`` sequence
+        numbers; only a timer run reserves more than one."""
         if at < self.now:
             raise SchedulingInPast(
                 f"cannot schedule at t={at}, clock is at t={self.now}")
         stats = self.stats
         seq = stats.scheduled
-        stats.scheduled = seq + 1
+        stats.scheduled = seq + count
         buckets = self._buckets
         bucket = buckets.get(at)
         if bucket is None:
@@ -145,20 +158,29 @@ class Engine:
     def schedule_timer(self, at: int, owner: int, tag: str, data: int = 0) -> None:
         self.schedule(at, (owner, tag, data))
 
+    def on_timers(self, tag: str, owners: list[int], first_data: int) -> None:
+        """The default run hook, which an instance attribute replaces: each
+        timer of the run goes to ``on_timer`` in turn."""
+        for data, owner in enumerate(owners, first_data):
+            self.on_timer(owner, tag, data)
+
     def pending(self) -> int:
+        """Events queued and not yet dispatched; a run counts its timers."""
         stats = self.stats
         return stats.scheduled - stats.dispatched
 
     def run_until(self, t_end: int) -> None:
         """Dispatch every event with time <= t_end, then advance the clock.
 
-        Deliveries and timers, nearly every event, are dispatched inline;
-        ``on_deliver`` and ``on_timer`` are read at each event, so a callback
-        replaced during the run takes effect at the next one. An event
-        scheduled at the current time during dispatch joins the end of the
-        list being drained, which is its (time, sequence number) place. If a
-        handler raises, the events dispatched so far are gone and the rest
-        stay queued.
+        Deliveries, timers and timer runs, nearly every event, are
+        dispatched inline; ``on_deliver``, ``on_timer`` and ``on_timers``
+        are read at each event, so a callback replaced during the run takes
+        effect at the next one. A run writes its timers' trace lines before
+        its hook is called. An event scheduled at the current time during
+        dispatch joins the end of the list being drained, which is its
+        (time, sequence number) place, after any run being dispatched. If a
+        handler raises, the events dispatched so far are gone, the one that
+        raised with them, and the rest stay queued.
         """
         times = self._times
         buckets = self._buckets
@@ -168,6 +190,8 @@ class Engine:
             at = heappop(times)
             self.now = at
             bucket = buckets[at]
+            # entries dispatched from this bucket are the events dispatched
+            # less the extra timers of its runs
             first = stats.dispatched
             stamp = f"{at}\t"
             try:
@@ -188,6 +212,17 @@ class Engine:
                             trace.append(f"{stamp}{seq}\ttimer/{tag}\t"
                                          f"{owner}\t-\t0")
                         self.on_timer(owner, tag, data)
+                    elif cls is list:
+                        tag, owners, data = body
+                        extra = len(owners) - 1
+                        stats.dispatched += extra
+                        first += extra
+                        if trace is not None:
+                            label = f"\ttimer/{tag}\t"
+                            trace.extend([
+                                f"{stamp}{i}{label}{owner}\t-\t0"
+                                for i, owner in enumerate(owners, seq)])
+                        self.on_timers(tag, owners, data)
                     else:
                         self._dispatch_fault(at, seq, body)
             finally:

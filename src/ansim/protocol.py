@@ -269,12 +269,12 @@ class _Failover:
 class Network:
     """Wires the protocol onto an event kernel for one run.
 
-    The engine owns the network: its ``on_deliver`` and ``on_timer`` are
-    the network's bound methods, and the network holds the engine only
-    weakly. A finished run is therefore no reference cycle, and reference
-    counting frees it once its last holder lets go. Whoever uses the
-    network keeps the engine too, as ``build_simulation`` and ``RunResult``
-    do; a network whose engine is gone raises SimError.
+    The engine owns the network: its ``on_deliver``, ``on_timer`` and
+    ``on_timers`` are the network's bound methods, and the network holds
+    the engine only weakly. A finished run is therefore no reference
+    cycle, and reference counting frees it once its last holder lets go.
+    Whoever uses the network keeps the engine too, as ``build_simulation``
+    and ``RunResult`` do; a network whose engine is gone raises SimError.
     """
 
     def __init__(self, engine: Engine, *, nodes: list[NodeSpec],
@@ -339,6 +339,7 @@ class Network:
 
         engine.on_deliver = self._on_deliver
         engine.on_timer = self._on_timer
+        engine.on_timers = self._on_timers
 
     @property
     def engine(self) -> Engine:
@@ -918,7 +919,12 @@ class Network:
         crashed, nor while not active unless the record lists its status.
         A monitored delivery runs no handler: it resets the receiver's loss
         streak for the sender and re-arms its deadline, with the generation
-        counter kept in a local and written back after the loop.
+        counter kept in a local and written back after the loop. Nothing
+        else in the loop of a monitored kind schedules or takes a
+        generation, and every monitor of one kind has one period and grace,
+        so the re-armed deadlines share a time, a tag and consecutive
+        generations and sequence numbers: two or more are queued as one
+        timer run.
         """
         sender = env.sender
         kind = env.kind
@@ -940,10 +946,10 @@ class Network:
                 receivers = sorted(visit)
         engine = self._engine_ref()
         now = engine.now
-        schedule = engine.schedule
         crashed = engine.crashed
         nodes = self.nodes
         gen = self._gen
+        rearmed = []
         for receiver in receivers:
             if receiver == skip:
                 continue
@@ -970,14 +976,21 @@ class Network:
                 if ms is None or ms.kind is not kind:
                     continue
                 ms.consecutive_losses = 0
-                ms.next_expected = due = now + ms.period
+                ms.next_expected = now + ms.period
                 ms.gen = gen = gen + 1
-                schedule(due + ms.grace, (receiver, ms.tag, gen))
+                rearmed.append(receiver)
+                armed = ms
                 continue
             handler = at_cmu if receiver == CMU_ID else at_node
             if handler is not None:
                 handler(self, env, receiver)
-        if monitored:
+        if rearmed:
+            at = armed.next_expected + armed.grace
+            n = len(rearmed)
+            if n == 1:
+                engine.schedule(at, (rearmed[0], armed.tag, gen))
+            else:
+                engine.schedule(at, [armed.tag, rearmed, gen - n + 1], n)
             self._gen = gen
 
     def _readers(self, env: Envelope) -> Optional[Collection[int]]:
@@ -1063,6 +1076,20 @@ class Network:
     def _on_timer(self, owner: int, tag: str, data: int) -> None:
         handler, arg = self._timer_routes[tag]
         handler(self, owner, arg, data)
+
+    def _on_timers(self, tag: str, owners: list[int], first_gen: int) -> None:
+        """A run of the monitor deadlines one delivery re-armed, which
+        ``_on_deliver`` queues under the tag ``mon/<watched>``. Each
+        member's generation is checked when its turn comes, after the
+        members before it have acted, as its own timer would be; most are
+        stale, superseded by a later delivery."""
+        watched = self._timer_routes[tag][1]
+        nodes = self.nodes
+        for gen, watcher in enumerate(owners, first_gen):
+            ms = (self._cmu_monitors if watcher == CMU_ID
+                  else nodes[watcher].monitors).get(watched)
+            if ms is not None and ms.gen == gen:
+                self._on_monitor_deadline(watcher, watched, gen)
 
     def _node_tag(self, family: str, node: int) -> str:
         """The timer tag ``family/node``, formatted and routed on first use;

@@ -289,19 +289,21 @@ def test_jitter_draw_is_randints_draw(seed, loss):
 def test_every_schedule_goes_through_the_class_attribute(monkeypatch):
     # instrumentation swaps Engine.schedule; inlined scheduling would
     # bypass it
-    calls = 0
+    calls = reserved = 0
     schedule = Engine.schedule
 
-    def counting_schedule(self, at, body):
-        nonlocal calls
+    def counting_schedule(self, at, body, count=1):
+        nonlocal calls, reserved
         calls += 1
-        return schedule(self, at, body)
+        reserved += count
+        return schedule(self, at, body, count)
 
     monkeypatch.setattr(Engine, "schedule", counting_schedule)
     result = run_scenario(load_scenario("fire-sensor-dropout"),
                           profile="auth-encap")
-    assert result.engine.stats.scheduled == calls > 0
-    assert result.engine.stats.dispatched <= calls
+    # timer runs reserve a sequence number per timer
+    assert result.engine.stats.scheduled == reserved > calls > 0
+    assert result.engine.stats.dispatched <= reserved
 
 
 def test_unknown_event_body_raises():
@@ -337,17 +339,21 @@ def test_malformed_timer_tuple_raises(body):
 
 # ------------------------------------------------------------ event queue
 
-# A queue program: event times scheduled up front; per event id, the delays
-# (from its own time) of the events its handler schedules; the run_until
-# stops; and, before each stop, delays (from the clock) of events scheduled
-# from outside the loop. Ids are handed out in scheduling order, so an
-# event's id is its sequence number.
+# A queue program: events scheduled up front; per event id, the events its
+# handler schedules; the run_until stops; and, before each stop, events
+# scheduled from outside the loop. Each scheduling is (time or delay, size):
+# size 1 queues one timer, a larger size a timer run of that many. Delays of
+# spawned events count from the spawning event's time, those from outside
+# from the clock. Ids are handed out in scheduling order, one per timer, so
+# an event's id is its sequence number.
+sized = st.integers(1, 3)
 queue_programs = st.tuples(
-    st.lists(st.integers(0, 30), max_size=25),
-    st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=40),
+    st.lists(st.tuples(st.integers(0, 30), sized), max_size=25),
+    st.lists(st.lists(st.tuples(st.integers(0, 4), sized), max_size=3),
+             max_size=40),
     st.lists(st.integers(0, 60), min_size=1, max_size=6).map(sorted),
-    st.lists(st.lists(st.integers(0, 3), max_size=3), min_size=6,
-             max_size=6),
+    st.lists(st.lists(st.tuples(st.integers(0, 3), sized), max_size=3),
+             min_size=6, max_size=6),
 )
 SPAWNING_IDS = 100
 
@@ -360,25 +366,26 @@ def spawned(children, event_id):
 
 def reference_queue(program):
     """The dispatch order and the pending count after each stop, from a
-    heap of (time, id) pairs."""
+    heap of (time, id) pairs, a run being its timers one by one."""
     initial, children, stops, between = program
     heap, order, pending, now = [], [], [], 0
 
-    def push(at):
-        heapq.heappush(heap, (at, push.next_id))
-        push.next_id += 1
+    def push(at, size):
+        for _ in range(size):
+            heapq.heappush(heap, (at, push.next_id))
+            push.next_id += 1
     push.next_id = 0
 
-    for at in initial:
-        push(at)
+    for at, size in initial:
+        push(at, size)
     for stop, outside in zip(stops, between):
-        for delay in outside:
-            push(now + delay)
+        for delay, size in outside:
+            push(now + delay, size)
         while heap and heap[0][0] <= stop:
             now, event_id = heapq.heappop(heap)
             order.append((now, event_id))
-            for delay in spawned(children, event_id):
-                push(now + delay)
+            for delay, size in spawned(children, event_id):
+                push(now + delay, size)
         now = max(now, stop)
         pending.append(len(heap))
     return order, pending
@@ -387,35 +394,95 @@ def reference_queue(program):
 @settings(max_examples=300, deadline=None)
 @given(queue_programs)
 def test_queue_dispatches_in_time_then_sequence_order(program):
+    # runs and single timers mix; a run's timers keep their own sequence
+    # numbers and trace lines, and whatever the default run hook's calls to
+    # on_timer schedule at the same time goes after the whole run
     initial, children, stops, between = program
     trace = []
     eng = make_engine(trace=trace)
     order, pending = [], []
     next_id = 0
 
-    def schedule(at):
+    def schedule(at, size):
         nonlocal next_id
-        eng.schedule_timer(at, 1, "q", next_id)
-        next_id += 1
+        if size == 1:
+            eng.schedule_timer(at, 1000 + next_id, "q", next_id)
+        else:
+            owners = [1000 + i for i in range(next_id, next_id + size)]
+            eng.schedule(at, ["q", owners, next_id], size)
+        next_id += size
 
     def on_timer(owner, tag, event_id):
+        assert owner == 1000 + event_id
         order.append((eng.now, event_id))
-        for delay in spawned(children, event_id):
-            schedule(eng.now + delay)
+        for delay, size in spawned(children, event_id):
+            schedule(eng.now + delay, size)
 
     eng.on_timer = on_timer
-    for at in initial:
-        schedule(at)
+    for at, size in initial:
+        schedule(at, size)
     for stop, outside in zip(stops, between):
-        for delay in outside:
-            schedule(eng.now + delay)
+        for delay, size in outside:
+            schedule(eng.now + delay, size)
         eng.run_until(stop)
         pending.append(eng.pending())
         assert eng.pending() == (eng.stats.scheduled
                                  - eng.stats.dispatched)
     assert (order, pending) == reference_queue(program)
-    assert [int(line.split("\t")[1]) for line in trace] == [
-        event_id for _, event_id in order]
+    assert [line.split("\t")[1:3] for line in trace] == [
+        [str(event_id), "timer/q"] for _, event_id in order]
+    assert [int(line.split("\t")[3]) for line in trace] == [
+        1000 + event_id for _, event_id in order]
+
+
+def test_the_default_run_hook_hands_each_timer_to_on_timer():
+    trace = []
+    eng = make_engine(trace=trace)
+    fired = []
+    eng.on_timer = lambda owner, tag, data: fired.append((owner, tag, data))
+    eng.schedule_timer(10, 1, "a")
+    eng.schedule(10, ["mon/4", [2, 3, 5], 7], 3)
+    eng.schedule_timer(10, 1, "b")
+    eng.run_until(10)
+    assert fired == [(1, "a", 0), (2, "mon/4", 7), (3, "mon/4", 8),
+                     (5, "mon/4", 9), (1, "b", 0)]
+    assert trace == ["10\t0\ttimer/a\t1\t-\t0",
+                     "10\t1\ttimer/mon/4\t2\t-\t0",
+                     "10\t2\ttimer/mon/4\t3\t-\t0",
+                     "10\t3\ttimer/mon/4\t5\t-\t0",
+                     "10\t4\ttimer/b\t1\t-\t0"]
+    assert eng.stats.scheduled == eng.stats.dispatched == 5
+
+
+def test_a_run_whose_hook_raises_is_dispatched_as_a_unit():
+    trace = []
+    eng = make_engine(trace=trace)
+    fired = []
+    eng.on_timer = lambda owner, tag, data: fired.append(tag)
+
+    def on_timers(tag, owners, first):
+        fired.append(tag)
+        # scheduled before the raise, so it must survive it
+        eng.schedule_timer(eng.now, 1, "late")
+        raise RuntimeError("run hook failed")
+
+    eng.on_timers = on_timers
+    eng.schedule_timer(10, 1, "before")
+    eng.schedule(10, ["run", [2, 3, 4], 0], 3)
+    eng.schedule_timer(10, 1, "after")
+    with pytest.raises(RuntimeError):
+        eng.run_until(30)
+    # every timer of the run is traced and dispatched, none stays queued
+    assert fired == ["before", "run"]
+    assert eng.stats.dispatched == 4
+    assert eng.pending() == 2
+    eng.run_until(30)
+    assert fired == ["before", "run", "after", "late"]
+    assert [line.split("\t")[1:4] for line in trace] == [
+        ["0", "timer/before", "1"], ["1", "timer/run", "2"],
+        ["2", "timer/run", "3"], ["3", "timer/run", "4"],
+        ["4", "timer/after", "1"], ["5", "timer/late", "1"]]
+    assert eng.pending() == 0 and eng.now == 30
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -449,14 +516,23 @@ def test_on_timer_replaced_after_build_receives_every_timer():
     cfg = load_scenario("admin-failover")
     engine, _, _, trace = build_simulation(cfg, with_trace=True)
     fired = []
-    on_timer = engine.on_timer
+    runs = 0
+    on_timer, on_timers = engine.on_timer, engine.on_timers
 
     def recording(owner, tag, data):
         fired.append(f"timer/{tag}\t{owner}")
         on_timer(owner, tag, data)
 
+    def recording_run(tag, owners, first):
+        nonlocal runs
+        runs += 1
+        fired.extend(f"timer/{tag}\t{owner}" for owner in owners)
+        on_timers(tag, owners, first)
+
     engine.on_timer = recording
+    engine.on_timers = recording_run
     engine.run_until(cfg.duration_ms)
+    assert runs > 0
     timers = ["\t".join(line.split("\t")[2:4]) for line in trace
               if line.split("\t")[2].startswith("timer/")]
     assert fired == timers

@@ -2,7 +2,7 @@
 
 The watch plan in ``ansim.protocol`` decides who monitors whom; these
 tests check its outcome at the end of real runs and hold runs to
-``audit.audit_crashed_nodes_removed``. Four known ways a single lost
+``audit.audit_crashed_nodes_removed``. Five known ways a single lost
 message defeats liveness, and one way lossless links do, are pinned as
 strict expected failures, so that a fix shows up as an unexpected pass.
 """
@@ -174,6 +174,7 @@ def test_the_watch_plan_holds_after_every_event(cfg, profile):
 
     engine.on_deliver = checked(engine.on_deliver)
     engine.on_timer = checked(engine.on_timer)
+    engine.on_timers = checked(engine.on_timers)
     engine.run_until(cfg.duration_ms)
     assert engine.stats.dispatched > 0
     assert violations == []
@@ -322,6 +323,21 @@ def test_a_lost_successor_assignment_removes_no_live_node(profile):
         and env.detail == (Role.ADMINISTRATOR, None)))
     assert assignment == (143 if profile == "auth-encap" else 117)
     report = run_losing(cfg, profile, assignment)
+    assert never_faulted_removals(report, cfg) == []
+
+
+@pytest.mark.xfail(strict=True, reason="a lost new-admin broadcast leaves "
+                   "sensors sending to the removed administrator")
+@pytest.mark.parametrize("profile", PROFILE_ORDER)
+def test_a_lost_new_admin_broadcast_removes_no_live_node(profile):
+    # sensors 3-7 hear crashed node 1 removed but not who succeeds it, and
+    # keep sending to node 1; successor 2 hears nothing from its roster and
+    # removes all five while alive
+    cfg = load_scenario("admin-failover")
+    info = seq_of_send(cfg, profile, lambda env: (
+        env.kind is EnvelopeKind.INFO_MESSAGE and env.detail == "new-admin"))
+    assert info == (144 if profile == "auth-encap" else 118)
+    report = run_losing(cfg, profile, info)
     assert never_faulted_removals(report, cfg) == []
 
 
