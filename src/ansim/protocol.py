@@ -399,15 +399,19 @@ class Network:
                   payload) -> None:
         """Wrap and send one message now; a payload not given is the
         kind's filler, stamped with the current time. A crashed sender
-        sends nothing, so its message is not built."""
+        sends nothing, so its message is not built. A lost envelope is
+        never verified, so its tag's record is dropped."""
         engine = self._engine_ref()
         if sender in engine.crashed:
             return
         now = engine.now
         if payload is None:
             payload = make_payload(kind, sender, now, self._payload_len[kind])
-        engine.send(security.wrap(self.profile, self.keys, kind, sender,
-                                  receiver, payload, now, subject, detail))
+        keys = self.keys
+        env = security.wrap(self.profile, keys, kind, sender, receiver,
+                            payload, now, subject, detail)
+        if not engine.send(env):
+            keys.unchecked.pop(env.tag, None)
 
     # ----------------------------------------------------------- handshakes
 

@@ -13,6 +13,13 @@ The cryptography is modeled: keyed one-way digests stand in for signatures
 and key agreement, with honest length accounting. The primitives are
 deterministic given the run seed and are not interoperable with any real
 cipher suite.
+
+Each tag is computed once, by ``wrap``. The registry that signed it keeps
+a record of the exact inputs until the envelope is verified, and ``unwrap``
+compares the envelope's signed fields with that record instead of hashing
+them again. The tag is a pure function of those inputs, so the record
+changes no verification outcome: whatever the record does not vouch for is
+hashed again, as every verification once was.
 """
 
 from __future__ import annotations
@@ -168,6 +175,11 @@ class KeyRegistry:
     and tag size. Sessions are keyed by the ordered pair ``(low, high)``;
     a pair's sealing-key id and holder set are built when it is
     established.
+
+    ``unchecked`` maps each tag that ``wrap`` computed and no ``unwrap`` has
+    yet checked to its inputs ``(kind, sender, receiver, payload, sent_at,
+    sig_len)``. Whoever sends an envelope that is lost, and so never
+    verified, drops its entry.
     """
 
     def __init__(self, seed: int, registered_hardware_ids: set[int]):
@@ -184,6 +196,7 @@ class KeyRegistry:
         self.length_prefixes = _Table(lambda n: n.to_bytes(4, "big"))
         self.group_members: set[int] = {CMU_ID}
         self.group_key = _digest(self._root, "group")
+        self.unchecked: dict[bytes, tuple] = {}
 
     def signing_key(self, node: int) -> bytes:
         key = self._signing.get(node)
@@ -252,7 +265,9 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     Bootstrap kinds (authorization, challenge-response, key exchange) are the
     securing machinery itself and go out at payload length in every profile.
     Under auth-encap a unicast needs the pair's session (NoSessionKey
-    otherwise) and a broadcast is sealed with the group key.
+    otherwise) and a broadcast is sealed with the group key. A signed
+    envelope's tag goes into ``keys.unchecked`` with the inputs it was
+    computed from.
     """
     pkind = profile.kind
     if pkind is _PLAIN or kind in BOOTSTRAP_KINDS:
@@ -260,8 +275,9 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
         overhead = 0
     else:
         overhead = profile.overhead
-        tag = _tag_for(keys, profile.sig_len, kind, sender, receiver,
-                       payload, sent_at)
+        sig_len = profile.sig_len
+        tag = _tag_for(keys, sig_len, kind, sender, receiver, payload,
+                       sent_at)
         if pkind is _AUTH:
             key_id = None
         elif receiver == BROADCAST:
@@ -271,6 +287,8 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
             if key_id is None:
                 raise NoSessionKey(
                     f"no session key for pair ({sender}, {receiver})")
+        keys.unchecked[tag] = (kind, sender, receiver, payload, sent_at,
+                               sig_len)
     return Envelope(kind, sender, receiver, payload, sent_at,
                     len(payload) + overhead, subject, detail,
                     pkind._value_, tag, key_id)
@@ -287,6 +305,15 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
     Without a ``reader`` only the checks that every receiver shares run, so
     a broadcast is verified once; ``key_holders`` then says which of its
     receivers can open it.
+
+    The tag check first takes the tag's entry out of ``keys.unchecked``.
+    When the envelope's signed fields and the profile's ``sig_len`` are the
+    very objects that entry records, ``_tag_for`` would return the tag
+    again, so the check passes without hashing: the signed fields are
+    immutable values. The test is identity, not equality, since equal
+    values can frame as different bytes: ``5.0 == 5``, yet a ``sent_at`` of
+    ``5.0`` signs ``"5.0"``. Any other envelope, a replay of a verified one
+    included, is hashed again, so the outcome is the hash's.
     """
     if env.kind in BOOTSTRAP_KINDS:
         return env.payload
@@ -306,10 +333,16 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
             raise WrongSessionKey(
                 f"node {reader} does not hold key {env.sealed_key_id}")
 
-    expected = _tag_for(keys, profile.sig_len, env.kind, env.sender,
-                        env.receiver, env.payload, env.sent_at)
-    if env.tag != expected:
-        raise TagMismatch("signature tag does not verify")
+    tag = env.tag
+    sig_len = profile.sig_len
+    signed = keys.unchecked.pop(tag, None)
+    if (signed is None or signed[4] is not env.sent_at
+            or signed[3] is not env.payload or signed[1] is not env.sender
+            or signed[2] is not env.receiver or signed[0] is not env.kind
+            or signed[5] is not sig_len):
+        if tag != _tag_for(keys, sig_len, env.kind, env.sender,
+                           env.receiver, env.payload, env.sent_at):
+            raise TagMismatch("signature tag does not verify")
     return env.payload
 
 

@@ -5,7 +5,7 @@ import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ansim.model import (
@@ -272,6 +272,85 @@ def test_changing_any_signed_field_fails_the_tag(profile_name, field):
     # node 2 holds the pair key, so only the tag check can reject it
     with pytest.raises(TagMismatch):
         unwrap(tampered, profile, keys, reader=2)
+
+
+SIGNED_KINDS = [kind for kind in EnvelopeKind if kind not in BOOTSTRAP_KINDS]
+PARTIES = [CMU_ID, 1, 2, 3]
+
+
+def keys_with_every_session():
+    keys = fresh_keys()
+    for a in PARTIES:
+        for b in PARTIES:
+            if a < b:
+                keys.establish(a, b)
+    return keys
+
+
+def verdict(env, profile, keys):
+    try:
+        unwrap(env, profile, keys)
+    except TagMismatch:
+        return "mismatch"
+    return "ok"
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_name=st.sampled_from(["auth", "auth-encap"]),
+       kind=st.sampled_from(SIGNED_KINDS), sender=st.sampled_from(PARTIES),
+       receiver=st.sampled_from(PARTIES + [BROADCAST]),
+       payload=st.binary(max_size=64), sent_at=st.integers(0, 10**12),
+       change=st.sampled_from(["kind", "sender", "receiver", "payload",
+                               "sent_at", "sent_at_as_float", "tag"]),
+       data=st.data())
+def test_the_record_of_a_tag_changes_no_verification_outcome(
+        profile_name, kind, sender, receiver, payload, sent_at, change,
+        data):
+    assume(sender != receiver)
+    profile = PROFILES[profile_name]
+    signer = keys_with_every_session()
+    msg = Message(kind, sender, receiver, payload, sent_at)
+    genuine = wrap(profile, signer, *msg, subject=2)
+    other = wrap(profile, signer, *msg._replace(sent_at=sent_at + 1),
+                 subject=2)
+    if change == "tag":
+        # a forgery that carries a genuine tag the registry recorded
+        forged = dataclasses.replace(genuine, tag=other.tag)
+    elif change == "sent_at_as_float":
+        # equal to the recorded sent_at, yet framed as other bytes
+        forged = dataclasses.replace(genuine, sent_at=float(sent_at))
+    else:
+        value = {
+            "kind": data.draw(st.sampled_from(
+                [k for k in SIGNED_KINDS if k is not kind])),
+            "sender": data.draw(st.sampled_from(
+                [p for p in PARTIES if p != sender])),
+            "receiver": data.draw(st.sampled_from(
+                [p for p in PARTIES + [BROADCAST] if p != receiver])),
+            "payload": payload + b"x",
+            "sent_at": sent_at + 1,
+        }[change]
+        forged = dataclasses.replace(genuine, **{change: value})
+    # equal values in other objects: the record cannot vouch for them, the
+    # hash does
+    copy = dataclasses.replace(genuine, payload=bytes(bytearray(payload)),
+                               sent_at=int(str(sent_at)))
+    later = [genuine, forged, genuine, copy, other]
+    expected = ["mismatch", "ok", "mismatch", "ok", "ok", "ok"]
+    # the forgery before and after the genuine envelope is verified, then
+    # the genuine envelope's replay
+    seen = [verdict(forged, profile, signer)]
+    # the forgery took the record of the tag it carries; sign the genuine
+    # message again so that its record vouches for it
+    wrap(profile, signer, *msg, subject=2)
+    assert genuine.tag in signer.unchecked
+    seen += [verdict(env, profile, signer) for env in later]
+    assert seen == expected
+    assert signer.unchecked == {}
+    # a registry that signed none of them hashes every tag
+    stranger = keys_with_every_session()
+    assert [verdict(env, profile, stranger)
+            for env in [forged] + later] == expected
 
 
 def test_memoised_keys_match_a_fresh_derivation():
