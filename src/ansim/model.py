@@ -128,7 +128,8 @@ SUBJECT_KINDS = frozenset({
 # writes the instance dict in one update. ``__eq__``, ``__hash__``,
 # ``__repr__`` and the raising ``__setattr__`` are still generated, and
 # ``dataclasses.replace`` goes through this ``__init__``, subject check
-# included.
+# included. ``_signed`` is no field, so all of them ignore it and
+# ``replace`` leaves it None.
 @dataclass(frozen=True, init=False)
 class Envelope:
     """One message on the wire, built once per send by ``security.wrap``.
@@ -145,6 +146,10 @@ class Envelope:
     or info message (``"rtt"``, ``"confirm"``, ``"probe"``, ``"reentry"``,
     ``"new-admin"``, ``"cmu-supervision"``); None for every other kind. It
     is neither traced, counted nor signed.
+
+    ``_signed`` is the record of what the tag was computed from, which
+    ``security.wrap`` hands a signed envelope and ``security.unwrap``
+    reads; None on any other envelope.
     """
 
     kind: EnvelopeKind
@@ -163,14 +168,20 @@ class Envelope:
                  payload: bytes, sent_at: int, wire_len: int = -1,
                  subject: int | None = None, detail: object = None,
                  profile_name: str = "", tag: bytes | None = None,
-                 sealed_key_id: str | None = None) -> None:
+                 sealed_key_id: str | None = None,
+                 _signed: tuple | None = None) -> None:
         if subject is None and kind in SUBJECT_KINDS:
             raise SimError(f"{kind._value_} envelope requires a subject")
         self.__dict__.update(
             kind=kind, sender=sender, receiver=receiver, payload=payload,
             sent_at=sent_at, wire_len=wire_len, subject=subject,
             detail=detail, profile_name=profile_name, tag=tag,
-            sealed_key_id=sealed_key_id)
+            sealed_key_id=sealed_key_id, _signed=_signed)
+
+    def __getstate__(self) -> dict:
+        # copies and pickles leave the record behind, as ``replace`` does:
+        # it names the signing registry, whose hash states cannot be copied
+        return dict(self.__dict__, _signed=None)
 
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:

@@ -11,8 +11,10 @@ it takes from the management unit when it takes office (the initial one at
 its own grant, a successor at its administrator assignment) and then keeps
 by the grants, reentries and removals it hears; the management unit
 watches the granted nodes it has not removed, but only while it
-supervises. ``Network._sync_watches`` alone creates and drops monitors, to
-match one watcher's plan, wherever a role, a status, a roster or a known
+supervises. Every endpoint's monitors, the management unit's included, sit
+in one table, ``Network.monitors[watcher][watched]``, and
+``Network._sync_watches`` alone creates and drops them, to match one
+watcher's plan, wherever a role, a status, a roster or a known
 administrator changes. A monitor detects a missed packet when its expected
 arrival plus a grace window (a quarter of the period) passes without one.
 
@@ -114,18 +116,16 @@ FIXED_PAYLOAD_LEN = {
 class MonitorState:
     """Loss-streak tracker one watcher keeps for one watched node. The
     streak is ``consecutive_losses`` alone; ``gen`` names the one live
-    deadline timer, so a deadline of another generation is stale."""
+    deadline timer, so a deadline of another generation is stale. The
+    period follows from ``kind`` and the deadline's tag is
+    ``mon/<watched>``."""
 
     watcher: int
     watched: int
     kind: EnvelopeKind
-    period: int
-    grace: int
     next_expected: int
     consecutive_losses: int = 0
     gen: int = 0
-    # the deadline timer's tag, "mon/<watched>"
-    tag: str = ""
 
 
 def record_packet_outcome(ms: MonitorState, delivered: bool,
@@ -244,7 +244,6 @@ class NodeState:
     # watched as administrator; a dict used as an ordered set
     roster: dict[int, None] = field(default_factory=dict)
     duty_gen: int = 0
-    monitors: dict[int, MonitorState] = field(default_factory=dict)
 
 
 @dataclass
@@ -292,12 +291,19 @@ class Network:
             security.payload_status_broadcast)
         if profile.kind is ProfileKind.AUTH_ENCAP:
             self._payload_len[EnvelopeKind.KEY_EXCHANGE] = profile.handshake_msg_len
+        # a monitor's period by the kind it watches through
+        self._periods = {
+            EnvelopeKind.SENSOR_DATA: timers.sensor_data_period_ms,
+            EnvelopeKind.STATUS_BROADCAST: timers.status_period_ms}
 
         self.nodes: dict[int, NodeState] = {}
         for spec in nodes:
             self.nodes[spec.id] = NodeState(spec=spec)
             if spec.registered:
                 keys.provision_member(spec.id)
+        # watcher -> watched -> monitor, the management unit's included
+        self.monitors: dict[int, dict[int, MonitorState]] = {
+            watcher: {} for watcher in (CMU_ID, *self.nodes)}
 
         # every endpoint a broadcast can reach, in delivery order
         self._broadcast_receivers = tuple(sorted([CMU_ID, *self.nodes]))
@@ -324,7 +330,6 @@ class Network:
         self._demoted: set[int] = set()
         self._probing: dict[int, int] = {}
         self._supervising = False
-        self._cmu_monitors: dict[int, MonitorState] = {}
 
         # open and finished handshakes by ordered pair (low, high)
         self._handshakes: dict[tuple[int, int], _Handshake] = {}
@@ -336,6 +341,10 @@ class Network:
             tag: (handler, None) for tag, handler in _FIXED_TIMERS.items()}
         self._node_tags: dict[str, dict[int, str]] = {
             family: {} for family in _NODE_TIMERS}
+        # every endpoint's deadline tag, routed up front: the monitor paths
+        # read it straight from _node_tags["mon"]
+        for node in self.monitors:
+            self._node_tag("mon", node)
 
         engine.on_deliver = self._on_deliver
         engine.on_timer = self._on_timer
@@ -399,19 +408,15 @@ class Network:
                   payload) -> None:
         """Wrap and send one message now; a payload not given is the
         kind's filler, stamped with the current time. A crashed sender
-        sends nothing, so its message is not built. A lost envelope is
-        never verified, so its tag's record is dropped."""
+        sends nothing, so its message is not built."""
         engine = self._engine_ref()
         if sender in engine.crashed:
             return
         now = engine.now
         if payload is None:
             payload = make_payload(kind, sender, now, self._payload_len[kind])
-        keys = self.keys
-        env = security.wrap(self.profile, keys, kind, sender, receiver,
-                            payload, now, subject, detail)
-        if not engine.send(env):
-            keys.unchecked.pop(env.tag, None)
+        engine.send(security.wrap(self.profile, self.keys, kind, sender,
+                                  receiver, payload, now, subject, detail))
 
     # ----------------------------------------------------------- handshakes
 
@@ -643,34 +648,32 @@ class Network:
         order. With ``restart``, the plan changed at that node alone, so
         only its monitor changes: it is watched anew if the plan lists it."""
         kind, watched = self._watch_plan(watcher)
-        monitors = (self._cmu_monitors if watcher == CMU_ID
-                    else self.nodes[watcher].monitors)
+        monitors = self.monitors[watcher]
         if restart is not None:
             monitors.pop(restart, None)
             watched = (restart,) if restart in watched else ()
         else:
             for gone in monitors.keys() - watched:
                 del monitors[gone]
-        period = (self.timers.sensor_data_period_ms
-                  if kind is EnvelopeKind.SENSOR_DATA
-                  else self.timers.status_period_ms)
+        expected = self.engine.now + self._periods[kind]
         for node in watched:
             if node not in monitors:
                 ms = monitors[node] = MonitorState(
-                    watcher=watcher, watched=node, kind=kind, period=period,
-                    grace=period // 4, next_expected=self.engine.now + period,
-                    tag=self._node_tag("mon", node))
+                    watcher=watcher, watched=node, kind=kind,
+                    next_expected=expected)
                 self._arm_monitor(ms)
 
     def _arm_monitor(self, ms: MonitorState) -> None:
+        """Schedule ``ms``'s deadline: its expected arrival plus a grace of
+        a quarter period."""
         gen = self._gen = self._gen + 1
         ms.gen = gen
-        self._engine_ref().schedule_timer(ms.next_expected + ms.grace,
-                                          ms.watcher, ms.tag, gen)
+        self._engine_ref().schedule_timer(
+            ms.next_expected + self._periods[ms.kind] // 4, ms.watcher,
+            self._node_tags["mon"][ms.watched], gen)
 
     def _on_monitor_deadline(self, watcher: int, watched: int, gen: int) -> None:
-        ms = (self._cmu_monitors if watcher == CMU_ID
-              else self.nodes[watcher].monitors).get(watched)
+        ms = self.monitors[watcher].get(watched)
         if ms is None or ms.gen != gen:
             return
         engine = self._engine_ref()
@@ -679,7 +682,7 @@ class Network:
                 or self.nodes[watcher].status is not NodeStatus.ACTIVE):
             return
         notes = record_packet_outcome(ms, delivered=False, at=engine.now)
-        ms.next_expected += ms.period
+        ms.next_expected += self._periods[ms.kind]
         self._arm_monitor(ms)
         for note in notes:
             if watcher == CMU_ID:
@@ -693,10 +696,10 @@ class Network:
     # -------------------------------------------------- notification intake
 
     def _notify(self, severity: Severity, cause: Cause, subject: int,
-                reporter: int, at: Optional[int] = None) -> None:
+                reporter: int) -> None:
         self.notifications.append(Notification(
             severity=severity, subject=subject, cause=cause,
-            at=self.engine.now if at is None else at, reporter=reporter))
+            at=self.engine.now, reporter=reporter))
 
     def _ingest(self, note: Notification) -> None:
         self.notifications.append(note)
@@ -925,10 +928,10 @@ class Network:
         streak for the sender and re-arms its deadline, with the generation
         counter kept in a local and written back after the loop. Nothing
         else in the loop of a monitored kind schedules or takes a
-        generation, and every monitor of one kind has one period and grace,
-        so the re-armed deadlines share a time, a tag and consecutive
-        generations and sequence numbers: two or more are queued as one
-        timer run.
+        generation, and every monitor of one kind has one period, so the
+        re-armed deadlines share a time and a tag, both computed once, and
+        consecutive generations and sequence numbers: two or more are
+        queued as one timer run.
         """
         sender = env.sender
         kind = env.kind
@@ -949,7 +952,10 @@ class Network:
                     visit |= self._broadcast_set.difference(readers)
                 receivers = sorted(visit)
         engine = self._engine_ref()
-        now = engine.now
+        if monitored:
+            period = self._periods[kind]
+            expected = engine.now + period
+            monitors = self.monitors
         crashed = engine.crashed
         nodes = self.nodes
         gen = self._gen
@@ -957,9 +963,7 @@ class Network:
         for receiver in receivers:
             if receiver == skip:
                 continue
-            if receiver == CMU_ID:
-                monitors = self._cmu_monitors
-            else:
+            if receiver != CMU_ID:
                 if receiver in crashed:
                     continue
                 st = nodes.get(receiver)
@@ -968,7 +972,6 @@ class Network:
                 status = st.status
                 if status is not _ACTIVE and status not in heard_by:
                     continue
-                monitors = st.monitors
             if readers is not None and receiver not in readers:
                 self._notify(Severity.ALERT, Cause.AUTH_FAILURE,
                              subject=sender, reporter=receiver)
@@ -976,25 +979,25 @@ class Network:
             if acting is not None and receiver not in acting:
                 continue
             if monitored:
-                ms = monitors.get(sender)
+                ms = monitors[receiver].get(sender)
                 if ms is None or ms.kind is not kind:
                     continue
                 ms.consecutive_losses = 0
-                ms.next_expected = now + ms.period
+                ms.next_expected = expected
                 ms.gen = gen = gen + 1
                 rearmed.append(receiver)
-                armed = ms
                 continue
             handler = at_cmu if receiver == CMU_ID else at_node
             if handler is not None:
                 handler(self, env, receiver)
         if rearmed:
-            at = armed.next_expected + armed.grace
+            at = expected + period // 4
+            tag = self._node_tags["mon"][sender]
             n = len(rearmed)
             if n == 1:
-                engine.schedule(at, (rearmed[0], armed.tag, gen))
+                engine.schedule(at, (rearmed[0], tag, gen))
             else:
-                engine.schedule(at, [armed.tag, rearmed, gen - n + 1], n)
+                engine.schedule(at, [tag, rearmed, gen - n + 1], n)
             self._gen = gen
 
     def _readers(self, env: Envelope) -> Optional[Collection[int]]:
@@ -1088,10 +1091,9 @@ class Network:
         members before it have acted, as its own timer would be; most are
         stale, superseded by a later delivery."""
         watched = self._timer_routes[tag][1]
-        nodes = self.nodes
+        monitors = self.monitors
         for gen, watcher in enumerate(owners, first_gen):
-            ms = (self._cmu_monitors if watcher == CMU_ID
-                  else nodes[watcher].monitors).get(watched)
+            ms = monitors[watcher].get(watched)
             if ms is not None and ms.gen == gen:
                 self._on_monitor_deadline(watcher, watched, gen)
 

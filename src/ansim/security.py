@@ -14,12 +14,12 @@ and key agreement, with honest length accounting. The primitives are
 deterministic given the run seed and are not interoperable with any real
 cipher suite.
 
-Each tag is computed once, by ``wrap``. The registry that signed it keeps
-a record of the exact inputs until the envelope is verified, and ``unwrap``
-compares the envelope's signed fields with that record instead of hashing
-them again. The tag is a pure function of those inputs, so the record
-changes no verification outcome: whatever the record does not vouch for is
-hashed again, as every verification once was.
+Each tag is computed once, by ``wrap``, which hands the envelope it builds
+a private record of the exact inputs. ``unwrap`` compares the envelope's
+tag and signed fields with that record instead of hashing them again. The
+tag is a pure function of those inputs, so the record changes no
+verification outcome: whatever it does not vouch for is hashed again, as
+every verification once was.
 """
 
 from __future__ import annotations
@@ -122,9 +122,6 @@ class SecurityProfile:
                    encap_overhead=encap_overhead,
                    handshake_msg_len=handshake_msg_len)
 
-    def wire_len_for(self, payload_len: int, kind_is_bootstrap: bool) -> int:
-        return payload_len if kind_is_bootstrap else payload_len + self.overhead
-
 
 def _frame(part: object) -> bytes:
     """One digest input: its bytes (an int or str as its decimal or UTF-8
@@ -175,11 +172,6 @@ class KeyRegistry:
     and tag size. Sessions are keyed by the ordered pair ``(low, high)``;
     a pair's sealing-key id and holder set are built when it is
     established.
-
-    ``unchecked`` maps each tag that ``wrap`` computed and no ``unwrap`` has
-    yet checked to its inputs ``(kind, sender, receiver, payload, sent_at,
-    sig_len)``. Whoever sends an envelope that is lost, and so never
-    verified, drops its entry.
     """
 
     def __init__(self, seed: int, registered_hardware_ids: set[int]):
@@ -196,7 +188,6 @@ class KeyRegistry:
         self.length_prefixes = _Table(lambda n: n.to_bytes(4, "big"))
         self.group_members: set[int] = {CMU_ID}
         self.group_key = _digest(self._root, "group")
-        self.unchecked: dict[bytes, tuple] = {}
 
     def signing_key(self, node: int) -> bytes:
         key = self._signing.get(node)
@@ -266,54 +257,50 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     securing machinery itself and go out at payload length in every profile.
     Under auth-encap a unicast needs the pair's session (NoSessionKey
     otherwise) and a broadcast is sealed with the group key. A signed
-    envelope's tag goes into ``keys.unchecked`` with the inputs it was
-    computed from.
+    envelope carries the record ``(keys, tag, kind, sender, receiver,
+    payload, sent_at, sig_len)`` of what its tag was computed from.
     """
     pkind = profile.kind
     if pkind is _PLAIN or kind in BOOTSTRAP_KINDS:
-        tag = key_id = None
-        overhead = 0
+        return Envelope(kind, sender, receiver, payload, sent_at,
+                        len(payload), subject, detail, pkind._value_)
+    sig_len = profile.sig_len
+    tag = _tag_for(keys, sig_len, kind, sender, receiver, payload, sent_at)
+    if pkind is _AUTH:
+        key_id = None
+    elif receiver == BROADCAST:
+        key_id = GROUP_KEY_ID
     else:
-        overhead = profile.overhead
-        sig_len = profile.sig_len
-        tag = _tag_for(keys, sig_len, kind, sender, receiver, payload,
-                       sent_at)
-        if pkind is _AUTH:
-            key_id = None
-        elif receiver == BROADCAST:
-            key_id = GROUP_KEY_ID
-        else:
-            key_id = keys.sealing_key_id(sender, receiver)
-            if key_id is None:
-                raise NoSessionKey(
-                    f"no session key for pair ({sender}, {receiver})")
-        keys.unchecked[tag] = (kind, sender, receiver, payload, sent_at,
-                               sig_len)
+        key_id = keys.sealing_key_id(sender, receiver)
+        if key_id is None:
+            raise NoSessionKey(
+                f"no session key for pair ({sender}, {receiver})")
     return Envelope(kind, sender, receiver, payload, sent_at,
-                    len(payload) + overhead, subject, detail,
-                    pkind._value_, tag, key_id)
+                    len(payload) + profile.overhead, subject, detail,
+                    pkind._value_, tag, key_id,
+                    _signed=(keys, tag, kind, sender, receiver, payload,
+                             sent_at, sig_len))
 
 
-def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
-           reader: Optional[int] = None) -> bytes:
-    """Verify and open a wrapped envelope for ``reader``.
+def unwrap(env: Envelope, profile: SecurityProfile,
+           keys: KeyRegistry) -> bytes:
+    """Verify a wrapped envelope and return its payload.
 
     Raises ProfileMismatch when the envelope was wrapped under a different
-    profile, WrongSessionKey when it names no sealing key or the reader does
-    not hold that key, and TagMismatch when the signature check fails.
+    profile, WrongSessionKey when a sealed profile's envelope names no
+    sealing key, and TagMismatch when the signature check fails. These are
+    the checks every receiver shares, so a broadcast is verified once;
+    ``key_holders`` then says which of its receivers can open it.
 
-    Without a ``reader`` only the checks that every receiver shares run, so
-    a broadcast is verified once; ``key_holders`` then says which of its
-    receivers can open it.
-
-    The tag check first takes the tag's entry out of ``keys.unchecked``.
-    When the envelope's signed fields and the profile's ``sig_len`` are the
-    very objects that entry records, ``_tag_for`` would return the tag
-    again, so the check passes without hashing: the signed fields are
-    immutable values. The test is identity, not equality, since equal
-    values can frame as different bytes: ``5.0 == 5``, yet a ``sent_at`` of
-    ``5.0`` signs ``"5.0"``. Any other envelope, a replay of a verified one
-    included, is hashed again, so the outcome is the hash's.
+    When the record that ``wrap`` gave the envelope names ``keys``, the
+    envelope's tag and signed fields and the profile's ``sig_len`` as the
+    very objects it holds, ``_tag_for`` would return the tag again, so the
+    check passes without hashing: the signed fields are immutable values.
+    The test is identity, not equality, since equal values can frame as
+    different bytes: ``5.0 == 5``, yet a ``sent_at`` of ``5.0`` signs
+    ``"5.0"``. Any other envelope is hashed again, so the outcome is the
+    hash's: one built by hand, by ``dataclasses.replace``, which copies
+    fields only, or by another registry, or one changed in place.
     """
     if env.kind in BOOTSTRAP_KINDS:
         return env.payload
@@ -324,22 +311,17 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
             f"expected {pkind.value}")
     if pkind is _PLAIN:
         return env.payload
-
-    if pkind is _AUTH_ENCAP:
-        if env.sealed_key_id is None:
-            raise WrongSessionKey("envelope carries no session key id")
-        if (reader is not None
-                and reader not in keys.session_holders(env.sealed_key_id)):
-            raise WrongSessionKey(
-                f"node {reader} does not hold key {env.sealed_key_id}")
+    if pkind is _AUTH_ENCAP and env.sealed_key_id is None:
+        raise WrongSessionKey("envelope carries no session key id")
 
     tag = env.tag
     sig_len = profile.sig_len
-    signed = keys.unchecked.pop(tag, None)
-    if (signed is None or signed[4] is not env.sent_at
-            or signed[3] is not env.payload or signed[1] is not env.sender
-            or signed[2] is not env.receiver or signed[0] is not env.kind
-            or signed[5] is not sig_len):
+    signed = env._signed
+    if (signed is None or signed[6] is not env.sent_at
+            or signed[5] is not env.payload or signed[1] is not tag
+            or signed[3] is not env.sender or signed[4] is not env.receiver
+            or signed[2] is not env.kind or signed[7] is not sig_len
+            or signed[0] is not keys):
         if tag != _tag_for(keys, sig_len, env.kind, env.sender,
                            env.receiver, env.payload, env.sent_at):
             raise TagMismatch("signature tag does not verify")
@@ -348,9 +330,9 @@ def unwrap(env: Envelope, profile: SecurityProfile, keys: KeyRegistry,
 
 def key_holders(env: Envelope, profile: SecurityProfile,
                 keys: KeyRegistry) -> Optional[set[int]]:
-    """The nodes that can open an envelope that ``unwrap`` verified without
-    a reader: the holders of its sealing key, or None when the profile does
-    not seal it and every receiver can."""
+    """The nodes that can open an envelope that ``unwrap`` verified: the
+    holders of its sealing key, or None when the profile does not seal it
+    and every receiver can."""
     if profile.kind is not _AUTH_ENCAP or env.kind in BOOTSTRAP_KINDS:
         return None
     return keys.session_holders(env.sealed_key_id)

@@ -4,28 +4,18 @@ The runs and the digest are defined once, in scripts/regen_golden.py, which
 also rewrites the file after an intentional behaviour change.
 """
 
-import importlib.util
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def load_regen():
-    spec = importlib.util.spec_from_file_location(
-        "regen_golden", ROOT / "scripts" / "regen_golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import ROOT, load_script
 
 
 def test_every_pinned_run_matches_its_digest():
-    regen = load_regen()
+    regen = load_script("regen_golden")
     pinned = json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8"))
     assert regen.golden_digests() == pinned
 
@@ -34,7 +24,7 @@ def test_wire_digest_pins_payloads_that_no_report_or_trace_shows(
         monkeypatch):
     from ansim import protocol
 
-    regen = load_regen()
+    regen = load_script("regen_golden")
     pinned = json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8"))
     [(key, cfg, profile)] = [case for case in regen.digest_cases()
                              if case[0] == "paper-case1/auth"]
@@ -83,7 +73,7 @@ def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
 
 def test_check_names_each_mismatch_and_writes_nothing(tmp_path, monkeypatch,
                                                       capsys):
-    regen = load_regen()
+    regen = load_script("regen_golden")
     cases = [case for case in regen.digest_cases()
              if case[0] in ("paper-case1/plain", "paper-case1/auth")]
     monkeypatch.setattr(regen, "digest_cases", lambda: iter(cases))

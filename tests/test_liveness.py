@@ -97,10 +97,10 @@ def watch_gaps(net):
     """Every authorized, active low-rank node the sitting watcher does not
     watch, and every such node that does not watch the administrator."""
     if net.admin_id is not None:
-        watcher = net.nodes[net.admin_id].monitors
+        watcher = net.monitors[net.admin_id]
     else:
         assert net.supervising
-        watcher = net._cmu_monitors
+        watcher = net.monitors[CMU_ID]
     gaps = []
     for node, st in net.nodes.items():
         if (node == net.admin_id or not st.authorized
@@ -111,7 +111,7 @@ def watch_gaps(net):
         if ms is None or ms.kind is not EnvelopeKind.SENSOR_DATA:
             gaps.append(("unwatched", node))
         if net.admin_id is not None:
-            ms = st.monitors.get(net.admin_id)
+            ms = net.monitors[node].get(net.admin_id)
             if ms is None or ms.kind is not EnvelopeKind.STATUS_BROADCAST:
                 gaps.append(("not watching the administrator", node))
     return gaps
@@ -127,11 +127,11 @@ def test_every_member_and_the_administrator_are_watched_at_the_end(
 def watch_plan_violations(net):
     """Monitors the watch plan forbids, or stored under the wrong key."""
     found = []
-    if net._cmu_monitors and not net.supervising:
+    if net.monitors[CMU_ID] and not net.supervising:
         found.append("the management unit watches while not supervising")
-    holders = [(CMU_ID, net._cmu_monitors)] + [
-        (node, st.monitors) for node, st in net.nodes.items()]
-    for node, monitors in holders:
+    if net.monitors.keys() != {CMU_ID, *net.nodes}:
+        found.append("the monitor table's watchers are not every endpoint")
+    for node, monitors in net.monitors.items():
         if node != CMU_ID and monitors and not (
                 net.nodes[node].authorized
                 and net.nodes[node].status is NodeStatus.ACTIVE):
@@ -187,7 +187,7 @@ def test_a_successor_watches_the_members_and_removes_a_late_crash(profile):
     result = run_scenario(cfg, profile=profile)
     net = result.network
     assert net.admin_id == 2
-    assert sorted(net.nodes[2].monitors) == [1, 3, 4, 6, 7]
+    assert sorted(net.monitors[2]) == [1, 3, 4, 6, 7]
     assert net.nodes[5].status is NodeStatus.REMOVED
     events = [(n.cause, n.at) for n in result.report.notifications
               if n.subject == 5 and n.severity is not Severity.WARNING]

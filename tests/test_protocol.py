@@ -67,7 +67,7 @@ def make_cfg(n_nodes, *, powers=None, faults=(), overrides=(),
 
 def fresh_monitor():
     return MonitorState(watcher=1, watched=2, kind=EnvelopeKind.SENSOR_DATA,
-                        period=1000, grace=250, next_expected=1000)
+                        next_expected=1000)
 
 
 def streak_reference(outcomes):
@@ -630,9 +630,9 @@ def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
     for kind in EnvelopeKind:
         monitor = None
         if kind in protocol.MONITORED_KINDS:
-            monitor = st.monitors[CMU_ID] = MonitorState(
-                watcher=node, watched=CMU_ID, kind=kind, period=1000,
-                grace=250, next_expected=engine.now, gen=-1, tag="mon/0")
+            monitor = net.monitors[node][CMU_ID] = MonitorState(
+                watcher=node, watched=CMU_ID, kind=kind,
+                next_expected=engine.now, gen=-1)
         detail = ((Role.LOW_RANK, CMU_ID)
                   if kind is EnvelopeKind.ROLE_ASSIGNMENT else None)
         engine.on_deliver(security.wrap(

@@ -1,13 +1,16 @@
 """Security envelopes: profiles, wrapping, sessions, one-time auth."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ansim import security
 from ansim.model import (
     BOOTSTRAP_KINDS,
     BROADCAST,
@@ -82,45 +85,39 @@ def test_profile_variant_invariants():
                         encap_overhead=320, handshake_msg_len=0)
 
 
+def wire_len(profile_name, kind=EnvelopeKind.SENSOR_DATA, receiver=2,
+             length=120):
+    keys = fresh_keys()
+    keys.establish(1, 2)
+    return wrap(PROFILES[profile_name], keys,
+                *msg_of(kind=kind, receiver=receiver, length=length),
+                subject=3).wire_len
+
+
 def test_wire_length_additivity_exact():
-    # oracle: plain p, signed p+40, sealed p+40+320, stated as arithmetic
-    for p in (1, 16, 120, 4096):
-        assert PROFILES["plain"].wire_len_for(p, False) == p
-        assert PROFILES["auth"].wire_len_for(p, False) == p + 40
-        assert PROFILES["auth-encap"].wire_len_for(p, False) == p + 40 + 320
-        for name in PROFILES:
-            assert PROFILES[name].wire_len_for(p, True) == p
+    # oracle: plain p, signed p+40, sealed p+40+320, stated as arithmetic,
+    # for every kind, unicast and broadcast, from an empty payload to one
+    # whose length needs more than two bytes of its prefix
+    for kind in EnvelopeKind:
+        for receiver in (2, BROADCAST):
+            for p in (0, 1, 16, 120, 4096, 70000):
+                if kind in BOOTSTRAP_KINDS:
+                    expected = {name: p for name in PROFILES}
+                else:
+                    expected = {"plain": p, "auth": p + 40,
+                                "auth-encap": p + 40 + 320}
+                assert {name: wire_len(name, kind, receiver, p)
+                        for name in PROFILES} == expected
 
 
 @given(st.integers(min_value=1, max_value=10000))
 @settings(max_examples=50, deadline=None)
 def test_overhead_identity_for_any_payload(p):
-    plain = PROFILES["plain"].wire_len_for(p, False)
-    auth = PROFILES["auth"].wire_len_for(p, False)
-    encap = PROFILES["auth-encap"].wire_len_for(p, False)
+    plain = wire_len("plain", length=p)
+    auth = wire_len("auth", length=p)
+    encap = wire_len("auth-encap", length=p)
     assert encap - auth == 320
     assert auth - plain == 40
-
-
-@pytest.mark.parametrize("profile_name", list(PROFILES))
-def test_wrap_and_wire_len_for_share_one_rule(profile_name):
-    # wrap adds the profile's precomputed overhead; wire_len_for must agree
-    # for every kind, unicast and broadcast, from an empty payload to one
-    # whose length needs more than two bytes of its prefix
-    profile = PROFILES[profile_name]
-    keys = fresh_keys()
-    keys.establish(1, 2)
-    for kind in EnvelopeKind:
-        for receiver in (2, BROADCAST):
-            for length in (0, 1, 16, 120, 70000):
-                msg = msg_of(kind=kind, receiver=receiver, length=length)
-                wrapped = wrap(profile, keys, *msg, subject=3)
-                assert wrapped.wire_len == profile.wire_len_for(
-                    length, kind in BOOTSTRAP_KINDS)
-                if profile.sig_len:
-                    assert _tag_for(keys, profile.sig_len, *msg) == _digest(
-                        keys.signing_key(1), kind.value, 1, receiver,
-                        msg.payload, msg.sent_at, size=profile.sig_len)
 
 
 # ------------------------------------------------------------------ wrapping
@@ -131,9 +128,10 @@ def test_roundtrip_all_profiles():
     for name, profile in PROFILES.items():
         msg = msg_of()
         wrapped = wrap(profile, keys, *msg)
-        assert wrapped.wire_len == profile.wire_len_for(len(msg.payload), False)
+        assert wrapped.wire_len == len(msg.payload) + profile.overhead
         assert wrapped.profile_name == name
-        assert unwrap(wrapped, profile, keys, reader=2) == msg.payload
+        assert unwrap(wrapped, profile, keys) == msg.payload
+        assert 2 in (key_holders(wrapped, profile, keys) or {2})
 
 
 @pytest.mark.parametrize("profile_name", list(PROFILES))
@@ -146,9 +144,10 @@ def test_wrap_builds_the_wire_envelope_with_subject_and_detail(profile_name):
     assert type(wrapped) is Envelope
     assert tuple(getattr(wrapped, f) for f in Message._fields) == msg
     assert wrapped.subject == 2 and wrapped.detail is Cause.SINGLE_LOSS
-    assert wrapped.wire_len == profile.wire_len_for(32, False)
+    assert wrapped.wire_len == 32 + profile.overhead
     assert wrapped.profile_name == profile_name
-    assert unwrap(wrapped, profile, keys, reader=CMU_ID) == msg.payload
+    assert unwrap(wrapped, profile, keys) == msg.payload
+    assert CMU_ID in (key_holders(wrapped, profile, keys) or {CMU_ID})
     # a notification kind still needs its subject
     with pytest.raises(SimError):
         wrap(profile, keys, *msg)
@@ -162,7 +161,9 @@ def test_bootstrap_kinds_never_wrapped():
         wrapped = wrap(profile, keys, *msg)
         assert wrapped.wire_len == 16
         assert wrapped.tag is None
-        assert unwrap(wrapped, profile, keys, reader=CMU_ID) == msg.payload
+        assert unwrap(wrapped, profile, keys) == msg.payload
+        # every receiver reads a bootstrap kind
+        assert key_holders(wrapped, profile, keys) is None
 
 
 def test_encap_unicast_requires_session():
@@ -179,26 +180,28 @@ def test_encap_broadcast_uses_group_key():
     msg = msg_of(kind=EnvelopeKind.STATUS_BROADCAST, receiver=BROADCAST)
     wrapped = wrap(PROFILES["auth-encap"], keys, *msg)
     assert wrapped.sealed_key_id == GROUP_KEY_ID
-    assert unwrap(wrapped, PROFILES["auth-encap"], keys, reader=2) == msg.payload
+    assert unwrap(wrapped, PROFILES["auth-encap"], keys) == msg.payload
+    assert 2 in key_holders(wrapped, PROFILES["auth-encap"], keys)
     # node 3 was never provisioned with the group key
     keys.group_members.discard(3)
-    with pytest.raises(WrongSessionKey):
-        unwrap(wrapped, PROFILES["auth-encap"], keys, reader=3)
+    assert 3 not in key_holders(wrapped, PROFILES["auth-encap"], keys)
 
 
 def test_non_holder_cannot_open_pair_sealed_envelope():
     keys = fresh_keys()
     keys.establish(1, 2)
     wrapped = wrap(PROFILES["auth-encap"], keys, *msg_of())
+    assert key_holders(wrapped, PROFILES["auth-encap"], keys) == {1, 2}
     with pytest.raises(WrongSessionKey):
-        unwrap(wrapped, PROFILES["auth-encap"], keys, reader=3)
+        unwrap(dataclasses.replace(wrapped, sealed_key_id=None),
+               PROFILES["auth-encap"], keys)
 
 
 def test_profile_mismatch_detected():
     keys = fresh_keys()
     wrapped = wrap(PROFILES["auth"], keys, *msg_of())
     with pytest.raises(ProfileMismatch):
-        unwrap(wrapped, PROFILES["plain"], keys, reader=2)
+        unwrap(wrapped, PROFILES["plain"], keys)
 
 
 def flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -226,7 +229,7 @@ def test_hundred_single_bit_tamperings_rejected(profile_name):
             bad = dataclasses.replace(
                 wrapped, tag=flip_bit(wrapped.tag, bit - payload_bits))
         with pytest.raises(TagMismatch):
-            unwrap(bad, profile, keys, reader=2)
+            unwrap(bad, profile, keys)
 
 
 def test_forged_sender_identity_rejected():
@@ -236,7 +239,7 @@ def test_forged_sender_identity_rejected():
     fake_tag = wrap(PROFILES["auth"], keys, *msg_of(sender=3, receiver=2)).tag
     forged = dataclasses.replace(wrapped, tag=fake_tag)
     with pytest.raises(TagMismatch):
-        unwrap(forged, PROFILES["auth"], keys, reader=2)
+        unwrap(forged, PROFILES["auth"], keys)
 
 
 def test_readerless_unwrap_leaves_the_key_check_to_key_holders():
@@ -269,9 +272,8 @@ def test_changing_any_signed_field_fails_the_tag(profile_name, field):
         "tag": flip_bit(wrapped.tag, 0),
     }[field]
     tampered = dataclasses.replace(wrapped, **{field: changed})
-    # node 2 holds the pair key, so only the tag check can reject it
     with pytest.raises(TagMismatch):
-        unwrap(tampered, profile, keys, reader=2)
+        unwrap(tampered, profile, keys)
 
 
 SIGNED_KINDS = [kind for kind in EnvelopeKind if kind not in BOOTSTRAP_KINDS]
@@ -288,11 +290,23 @@ def keys_with_every_session():
 
 
 def verdict(env, profile, keys):
+    """``unwrap``'s verdict on ``env`` and how many tags it hashed."""
+    tag_for = security._tag_for
+    hashed = 0
+
+    def counting(*args):
+        nonlocal hashed
+        hashed += 1
+        return tag_for(*args)
+
+    security._tag_for = counting
     try:
         unwrap(env, profile, keys)
     except TagMismatch:
-        return "mismatch"
-    return "ok"
+        return "mismatch", hashed
+    finally:
+        security._tag_for = tag_for
+    return "ok", hashed
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,11 +328,11 @@ def test_the_record_of_a_tag_changes_no_verification_outcome(
     other = wrap(profile, signer, *msg._replace(sent_at=sent_at + 1),
                  subject=2)
     if change == "tag":
-        # a forgery that carries a genuine tag the registry recorded
-        forged = dataclasses.replace(genuine, tag=other.tag)
+        # a forgery that carries another genuine tag
+        value = other.tag
     elif change == "sent_at_as_float":
-        # equal to the recorded sent_at, yet framed as other bytes
-        forged = dataclasses.replace(genuine, sent_at=float(sent_at))
+        # equal to the signed sent_at, yet framed as other bytes
+        change, value = "sent_at", float(sent_at)
     else:
         value = {
             "kind": data.draw(st.sampled_from(
@@ -330,27 +344,45 @@ def test_the_record_of_a_tag_changes_no_verification_outcome(
             "payload": payload + b"x",
             "sent_at": sent_at + 1,
         }[change]
-        forged = dataclasses.replace(genuine, **{change: value})
+    # replace copies fields only, so the forgery carries no record
+    forged = dataclasses.replace(genuine, **{change: value})
     # equal values in other objects: the record cannot vouch for them, the
     # hash does
-    copy = dataclasses.replace(genuine, payload=bytes(bytearray(payload)),
-                               sent_at=int(str(sent_at)))
-    later = [genuine, forged, genuine, copy, other]
-    expected = ["mismatch", "ok", "mismatch", "ok", "ok", "ok"]
+    lookalike = dataclasses.replace(
+        genuine, payload=bytes(bytearray(payload)), sent_at=int(str(sent_at)))
     # the forgery before and after the genuine envelope is verified, then
     # the genuine envelope's replay
-    seen = [verdict(forged, profile, signer)]
-    # the forgery took the record of the tag it carries; sign the genuine
-    # message again so that its record vouches for it
-    wrap(profile, signer, *msg, subject=2)
-    assert genuine.tag in signer.unchecked
-    seen += [verdict(env, profile, signer) for env in later]
-    assert seen == expected
-    assert signer.unchecked == {}
-    # a registry that signed none of them hashes every tag
+    envs = [forged, genuine, forged, genuine, lookalike, other]
+    assert [verdict(env, profile, signer) for env in envs] == [
+        ("mismatch", 1), ("ok", 0), ("mismatch", 1), ("ok", 0), ("ok", 1),
+        ("ok", 0)]
+    # a registry that signed none of them hashes every tag, though its keys
+    # are the signer's
     stranger = keys_with_every_session()
-    assert [verdict(env, profile, stranger)
-            for env in [forged] + later] == expected
+    assert [verdict(env, profile, stranger) for env in envs] == [
+        ("mismatch", 1), ("ok", 1), ("mismatch", 1), ("ok", 1), ("ok", 1),
+        ("ok", 1)]
+    # a profile whose tags are one byte longer hashes, and the tag fails
+    longer = dataclasses.replace(profile, sig_len=profile.sig_len + 1)
+    assert verdict(genuine, longer, signer) == ("mismatch", 1)
+    # the same change made in place keeps the record, which no longer
+    # vouches for the envelope
+    object.__setattr__(genuine, change, value)
+    assert verdict(genuine, profile, signer) == ("mismatch", 1)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda env: pickle.loads(pickle.dumps(env))])
+def test_a_copy_of_an_envelope_carries_no_record(duplicate):
+    keys = fresh_keys()
+    keys.establish(1, 2)
+    for profile in PROFILES.values():
+        wrapped = wrap(profile, keys, *msg_of())
+        copied = duplicate(wrapped)
+        assert copied == wrapped and copied._signed is None
+        hashed = 1 if profile.sig_len else 0
+        assert verdict(copied, profile, keys) == ("ok", hashed)
+        assert verdict(wrapped, profile, keys) == ("ok", 0)
 
 
 def test_memoised_keys_match_a_fresh_derivation():
@@ -372,6 +404,9 @@ node_ids = st.one_of(st.sampled_from([BROADCAST, CMU_ID]),
        receiver=node_ids, payload=st.binary(max_size=300),
        sent_at=st.integers(0, 10**9),
        sig_len=st.sampled_from([1, 40, 64, 65, 100]))
+# a payload whose length needs more than two bytes of its prefix
+@example(kind=EnvelopeKind.SENSOR_DATA, sender=1, receiver=BROADCAST,
+         payload=b"s" * 70000, sent_at=1000, sig_len=40)
 def test_tag_is_the_framed_digest_of_the_signed_fields(
         kind, sender, receiver, payload, sent_at, sig_len):
     keys = fresh_keys()

@@ -4,42 +4,21 @@
 as one timer run. Splitting every run back into its timers at
 ``Engine.schedule`` queues each deadline on its own, dispatched through
 ``on_timer``. Both paths must give the same report and trace, byte for
-byte, on the bundled runs and on every single lost send of a small
-network: a lost status broadcast leaves the deadlines of the next run
+byte, on the bundled runs, and the same report, trace and sends on every
+single lost send of a small network: a lost status broadcast leaves the deadlines of the next run
 live, the one path where ``Network._on_timers`` hands members on.
 """
-
-import hashlib
-import importlib.util
-import pathlib
 
 import pytest
 
 from ansim.kernel import Engine
 from ansim.protocol import Network
 from ansim.runner import PROFILE_ORDER
-from ansim.scenario import (
-    LinksConfig,
-    NodeSpec,
-    ScenarioConfig,
-    SecurityConfig,
-    builtin_scenario_names,
-    load_scenario,
-)
+from ansim.scenario import builtin_scenario_names, load_scenario
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(
-        name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from helpers import five_nodes, load_script, single_loss_digests
 
 regen = load_script("regen_golden")
-sweep = load_script("loss_sweep")
 
 
 def split_runs(monkeypatch):
@@ -70,23 +49,6 @@ def test_bundled_runs_are_unchanged_by_splitting_runs(name, profile,
     split = split_runs(monkeypatch)
     assert regen.run_digest(cfg, profile) == together
     assert split
-
-
-def five_nodes(profile):
-    nodes = tuple(NodeSpec(id=i, hardware_id=9000 + i,
-                           processing_power=120 if i == 1 else 100)
-                  for i in range(1, 6))
-    return ScenarioConfig(name="t", seed=3, duration_ms=200000, nodes=nodes,
-                          links=LinksConfig(latency_ms=10),
-                          security=SecurityConfig(profile=profile))
-
-
-def single_loss_digests(cfg, profile):
-    sends = sweep.lose_one(cfg, profile)[0].sent
-    assert sends > 100
-    return [hashlib.sha256(sweep.outcome_text(
-        *sweep.lose_one(cfg, profile, seq)).encode()).hexdigest()
-        for seq in range(1, sends + 1)]
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)
