@@ -385,6 +385,29 @@ def test_a_copy_of_an_envelope_carries_no_record(duplicate):
         assert verdict(wrapped, profile, keys) == ("ok", 0)
 
 
+@pytest.mark.parametrize("profile_name", ["auth", "auth-encap"])
+def test_envelopes_that_share_a_tag_each_keep_their_own_record(profile_name):
+    # two sends of the same message in the same millisecond sign the same
+    # bytes, so they share a tag; neither record displaces the other, and
+    # one that is never verified (a lost envelope) costs the other nothing
+    profile = PROFILES[profile_name]
+    keys = fresh_keys()
+    keys.establish(1, 2)
+    msg = msg_of()
+    first = wrap(profile, keys, *msg)
+    second = wrap(profile, keys, *msg)
+    lost = wrap(profile, keys, *msg)
+    assert first.tag == second.tag == lost.tag
+    assert first._signed is not second._signed
+    assert [verdict(env, profile, keys) for env in (second, first, second)] \
+        == [("ok", 0)] * 3
+    # a forgery of the shared tag's fields is hashed between them, and
+    # fails
+    forged = dataclasses.replace(first, payload=msg.payload + b"x")
+    assert verdict(forged, profile, keys) == ("mismatch", 1)
+    assert verdict(first, profile, keys) == ("ok", 0)
+
+
 def test_memoised_keys_match_a_fresh_derivation():
     keys = fresh_keys()
     root = _digest(b"key-root", 11)
