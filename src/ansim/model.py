@@ -123,13 +123,34 @@ SUBJECT_KINDS = frozenset({
 })
 
 
+class _SignatureTag:
+    """``Envelope.tag`` of a signed envelope, computed on first read.
+
+    A non-data descriptor, as ``functools.cached_property`` is: once the
+    tag is in the instance dict, reads find it there and never call this.
+    A signed envelope leaves its tag out of the dict, and the first read
+    has the registry that heads its record compute the tag, which the
+    registry also keeps in the record, then stores it in the dict. Read off
+    the class, it is the field's default, None. A class ``__getattr__``
+    would do the same job, but on CPython 3.11 it stops every attribute
+    read on the class from being specialised.
+    """
+
+    def __get__(self, env: "Envelope | None", owner: type | None = None):
+        if env is None:
+            return None
+        signed = env._signed
+        tag = env.__dict__["tag"] = signed[0].tag_of(signed)
+        return tag
+
+
 # ``init=False``: the generated frozen ``__init__`` sets each field through
 # object.__setattr__, and an envelope is built on every send. The one below
 # writes the instance dict in one update. ``__eq__``, ``__hash__``,
 # ``__repr__`` and the raising ``__setattr__`` are still generated, and
 # ``dataclasses.replace`` goes through this ``__init__``, subject check
 # included. ``_signed`` is no field, so all of them ignore it and
-# ``replace`` leaves it None.
+# ``replace`` leaves it None; each of them reads ``tag``, so computes it.
 @dataclass(frozen=True, init=False)
 class Envelope:
     """One message on the wire, built once per send by ``security.wrap``.
@@ -147,9 +168,11 @@ class Envelope:
     ``"new-admin"``, ``"cmu-supervision"``); None for every other kind. It
     is neither traced, counted nor signed.
 
-    ``_signed`` is the record of what the tag was computed from, which
-    ``security.wrap`` hands a signed envelope and ``security.unwrap``
-    reads; None on any other envelope.
+    ``_signed`` is the record of what the tag is computed from, which
+    ``security.wrap`` hands a signed envelope in place of its tag and
+    ``security.unwrap`` reads; None on any other envelope. It is a list
+    headed by the key registry that signed it, whose ``tag_of`` computes
+    the tag from the record when ``tag`` is first read.
     """
 
     kind: EnvelopeKind
@@ -161,7 +184,7 @@ class Envelope:
     subject: int | None = None
     detail: object = None
     profile_name: str = ""
-    tag: bytes | None = None
+    tag: bytes | None = _SignatureTag()
     sealed_key_id: str | None = None
 
     def __init__(self, kind: EnvelopeKind, sender: int, receiver: int,
@@ -169,19 +192,25 @@ class Envelope:
                  subject: int | None = None, detail: object = None,
                  profile_name: str = "", tag: bytes | None = None,
                  sealed_key_id: str | None = None,
-                 _signed: tuple | None = None) -> None:
+                 _signed: list | None = None) -> None:
         if subject is None and kind in SUBJECT_KINDS:
             raise SimError(f"{kind._value_} envelope requires a subject")
-        self.__dict__.update(
+        d = self.__dict__
+        d.update(
             kind=kind, sender=sender, receiver=receiver, payload=payload,
             sent_at=sent_at, wire_len=wire_len, subject=subject,
-            detail=detail, profile_name=profile_name, tag=tag,
+            detail=detail, profile_name=profile_name,
             sealed_key_id=sealed_key_id, _signed=_signed)
+        # last, so a signed envelope's dict, which gains its tag when the
+        # tag is read, shares its key order with every other envelope's
+        if _signed is None:
+            d["tag"] = tag
 
     def __getstate__(self) -> dict:
-        # copies and pickles leave the record behind, as ``replace`` does:
-        # it names the signing registry, whose hash states cannot be copied
-        return dict(self.__dict__, _signed=None)
+        # copies and pickles carry the tag's bytes and leave the record
+        # behind, as ``replace`` does: it names the signing registry, whose
+        # hash states cannot be copied
+        return dict(self.__dict__, tag=self.tag, _signed=None)
 
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:

@@ -14,12 +14,16 @@ and key agreement, with honest length accounting. The primitives are
 deterministic given the run seed and are not interoperable with any real
 cipher suite.
 
-Each tag is computed once, by ``wrap``, which hands the envelope it builds
-a private record of the exact inputs. ``unwrap`` compares the envelope's
-tag and signed fields with that record instead of hashing them again. The
-tag is a pure function of those inputs, so the record changes no
-verification outcome: whatever it does not vouch for is hashed again, as
-every verification once was.
+Each tag is computed at most once, when it is first read. ``wrap`` hashes
+nothing: it hands the envelope it builds a private record of the exact
+inputs, from which ``Envelope.tag`` computes the tag on first read.
+``unwrap`` compares the envelope's signed fields with that record, and its
+tag, if it has been read, with the one the record computed, instead of
+hashing them again. The tag is a pure function of those inputs, so the
+record changes no verification outcome: whatever it does not vouch for is
+hashed again, as every verification once was. A simulation reads no tag;
+what does is ``unwrap``'s hashing fallback, the wire digest of
+``scripts/regen_golden.py``, and tests.
 """
 
 from __future__ import annotations
@@ -160,6 +164,10 @@ _KIND_FRAMES = {kind: _frame(kind._value_) for kind in EnvelopeKind}
 
 GROUP_KEY_ID = "group"
 
+# The last slot of a signed envelope's record until its tag is read: no tag
+# written in place can be this object.
+_UNREAD = object()
+
 
 class KeyRegistry:
     """Keys and registered hardware ids for one run.
@@ -169,9 +177,10 @@ class KeyRegistry:
     only once the in-band handshake for that pair completes.
 
     Tags are hashed from copies of a keyed state built once per signing key
-    and tag size. Sessions are keyed by the ordered pair ``(low, high)``;
-    a pair's sealing-key id and holder set are built when it is
-    established.
+    and tag size; ``tag_of`` is how an envelope whose record names this
+    registry computes its tag when the tag is first read. Sessions are
+    keyed by the ordered pair ``(low, high)``; a pair's sealing-key id and
+    holder set are built when it is established.
     """
 
     def __init__(self, seed: int, registered_hardware_ids: set[int]):
@@ -206,6 +215,15 @@ class KeyRegistry:
                                 digest_size=min(size, 64))
         self._signers.setdefault(size, {})[node] = state
         return state
+
+    def tag_of(self, signed: list) -> bytes:
+        """The tag of a signed envelope's record ``[self, sig_len, kind,
+        sender, receiver, payload, sent_at, _UNREAD]``, as ``wrap`` builds
+        it: ``_tag_for`` of its first seven items, which ``Envelope.tag``
+        asks for when it is first read. The tag replaces ``_UNREAD``, so
+        ``unwrap`` can tell it from a tag written in place."""
+        tag = signed[7] = _tag_for(*signed[:7])
+        return tag
 
     def provision_member(self, node: int) -> None:
         """Install the broadcast group key on a legitimate member node."""
@@ -257,15 +275,15 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     securing machinery itself and go out at payload length in every profile.
     Under auth-encap a unicast needs the pair's session (NoSessionKey
     otherwise) and a broadcast is sealed with the group key. A signed
-    envelope carries the record ``(keys, tag, kind, sender, receiver,
-    payload, sent_at, sig_len)`` of what its tag was computed from.
+    envelope carries no tag but the record ``[keys, sig_len, kind, sender,
+    receiver, payload, sent_at, _UNREAD]`` of what its tag is computed
+    from; ``Envelope.tag`` computes the tag through ``keys.tag_of`` on
+    first read.
     """
     pkind = profile.kind
     if pkind is _PLAIN or kind in BOOTSTRAP_KINDS:
         return Envelope(kind, sender, receiver, payload, sent_at,
                         len(payload), subject, detail, pkind._value_)
-    sig_len = profile.sig_len
-    tag = _tag_for(keys, sig_len, kind, sender, receiver, payload, sent_at)
     if pkind is _AUTH:
         key_id = None
     elif receiver == BROADCAST:
@@ -277,9 +295,9 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
                 f"no session key for pair ({sender}, {receiver})")
     return Envelope(kind, sender, receiver, payload, sent_at,
                     len(payload) + profile.overhead, subject, detail,
-                    pkind._value_, tag, key_id,
-                    _signed=(keys, tag, kind, sender, receiver, payload,
-                             sent_at, sig_len))
+                    pkind._value_, None, key_id,
+                    _signed=[keys, profile.sig_len, kind, sender, receiver,
+                             payload, sent_at, _UNREAD])
 
 
 def unwrap(env: Envelope, profile: SecurityProfile,
@@ -293,14 +311,16 @@ def unwrap(env: Envelope, profile: SecurityProfile,
     ``key_holders`` then says which of its receivers can open it.
 
     When the record that ``wrap`` gave the envelope names ``keys``, the
-    envelope's tag and signed fields and the profile's ``sig_len`` as the
-    very objects it holds, ``_tag_for`` would return the tag again, so the
-    check passes without hashing: the signed fields are immutable values.
-    The test is identity, not equality, since equal values can frame as
+    envelope's signed fields and the profile's ``sig_len`` as the very
+    objects it holds, and the tag is either unread or the very object the
+    record computed, ``_tag_for`` would return the tag again, so the check
+    passes without hashing: the signed fields are immutable values. The
+    test is identity, not equality, since equal values can frame as
     different bytes: ``5.0 == 5``, yet a ``sent_at`` of ``5.0`` signs
-    ``"5.0"``. Any other envelope is hashed again, so the outcome is the
-    hash's: one built by hand, by ``dataclasses.replace``, which copies
-    fields only, or by another registry, or one changed in place.
+    ``"5.0"``. Any other envelope is hashed again, reading its tag, so the
+    outcome is the hash's: one built by hand, by ``dataclasses.replace``,
+    which copies fields only, by ``copy`` or ``pickle``, or by another
+    registry, or one whose tag or field was written in place.
     """
     if env.kind in BOOTSTRAP_KINDS:
         return env.payload
@@ -314,16 +334,15 @@ def unwrap(env: Envelope, profile: SecurityProfile,
     if pkind is _AUTH_ENCAP and env.sealed_key_id is None:
         raise WrongSessionKey("envelope carries no session key id")
 
-    tag = env.tag
     sig_len = profile.sig_len
     signed = env._signed
     if (signed is None or signed[6] is not env.sent_at
-            or signed[5] is not env.payload or signed[1] is not tag
-            or signed[3] is not env.sender or signed[4] is not env.receiver
-            or signed[2] is not env.kind or signed[7] is not sig_len
-            or signed[0] is not keys):
-        if tag != _tag_for(keys, sig_len, env.kind, env.sender,
-                           env.receiver, env.payload, env.sent_at):
+            or signed[5] is not env.payload or signed[3] is not env.sender
+            or signed[4] is not env.receiver or signed[2] is not env.kind
+            or signed[1] is not sig_len or signed[0] is not keys
+            or env.__dict__.get("tag", _UNREAD) is not signed[7]):
+        if env.tag != _tag_for(keys, sig_len, env.kind, env.sender,
+                               env.receiver, env.payload, env.sent_at):
             raise TagMismatch("signature tag does not verify")
     return env.payload
 

@@ -1,6 +1,7 @@
 """Core vocabulary: roles, envelopes, notifications."""
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +85,26 @@ def test_envelope_is_immutable_and_replace_rechecks_the_subject():
     assert hash(wired) == hash(dataclasses.replace(wired))
     with pytest.raises(SimError):
         dataclasses.replace(env, subject=None)
+
+
+def test_the_tag_is_a_non_data_descriptor_and_envelope_has_no_getattr():
+    # on CPython 3.11 a class __getattr__ or __getattribute__ stops every
+    # attribute read on the class from being specialised, and every send
+    # and delivery reads envelope fields
+    assert not hasattr(Envelope, "__getattr__")
+    assert Envelope.__getattribute__ is object.__getattribute__
+    tag = inspect.getattr_static(Envelope, "tag")
+    assert inspect.ismethoddescriptor(tag)
+    assert not inspect.isdatadescriptor(tag)
+    # read off the class it is the field's default; an unsigned envelope
+    # holds its tag in its own dict, so reading it never calls the
+    # descriptor
+    assert Envelope.tag is None
+    assert [f.default for f in dataclasses.fields(Envelope)
+            if f.name == "tag"] == [None]
+    for tag in (None, b"t" * 40):
+        env = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, tag=tag)
+        assert vars(env)["tag"] is tag
 
 
 def test_every_subject_kind_requires_a_subject():

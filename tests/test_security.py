@@ -357,11 +357,12 @@ def test_the_record_of_a_tag_changes_no_verification_outcome(
         ("mismatch", 1), ("ok", 0), ("mismatch", 1), ("ok", 0), ("ok", 1),
         ("ok", 0)]
     # a registry that signed none of them hashes every tag, though its keys
-    # are the signer's
+    # are the signer's; the tag of ``other`` is unread unless the forgery
+    # took it, so the hashing fallback first computes it from the record
     stranger = keys_with_every_session()
     assert [verdict(env, profile, stranger) for env in envs] == [
         ("mismatch", 1), ("ok", 1), ("mismatch", 1), ("ok", 1), ("ok", 1),
-        ("ok", 1)]
+        ("ok", 1 if change == "tag" else 2)]
     # a profile whose tags are one byte longer hashes, and the tag fails
     longer = dataclasses.replace(profile, sig_len=profile.sig_len + 1)
     assert verdict(genuine, longer, signer) == ("mismatch", 1)
@@ -369,6 +370,58 @@ def test_the_record_of_a_tag_changes_no_verification_outcome(
     # vouches for the envelope
     object.__setattr__(genuine, change, value)
     assert verdict(genuine, profile, signer) == ("mismatch", 1)
+
+
+DUPLICATES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda env: pickle.loads(pickle.dumps(env)),
+    "replace": dataclasses.replace,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_name=st.sampled_from(["auth", "auth-encap"]),
+       kind=st.sampled_from(SIGNED_KINDS), sender=st.sampled_from(PARTIES),
+       receiver=st.sampled_from(PARTIES + [BROADCAST]),
+       payload=st.binary(max_size=64), sent_at=st.integers(0, 10**12),
+       point=st.sampled_from(["wrap", "unwrap", "forgery", *DUPLICATES]),
+       bit=st.integers(0, 8 * 40 - 1))
+def test_a_tag_read_late_is_the_tag_of_the_wrapped_fields(
+        profile_name, kind, sender, receiver, payload, sent_at, point, bit):
+    assume(sender != receiver)
+    profile = PROFILES[profile_name]
+    keys = keys_with_every_session()
+    msg = Message(kind, sender, receiver, payload, sent_at)
+    expected = _tag_for(keys, profile.sig_len, *msg)
+    wrapped = wrap(profile, keys, *msg, subject=2)
+    # wrap computes no tag
+    assert "tag" not in vars(wrapped)
+    if point == "wrap":
+        read = wrapped
+    elif point == "unwrap":
+        # verified by its record, without a hash, and still unread
+        assert verdict(wrapped, profile, keys) == ("ok", 0)
+        assert "tag" not in vars(wrapped)
+        read = wrapped
+    elif point == "forgery":
+        # replace reads the genuine envelope's tag to copy it
+        read = dataclasses.replace(wrapped, payload=payload + b"x")
+        assert verdict(read, profile, keys) == ("mismatch", 1)
+    else:
+        # the duplicate carries the bytes and no record, so it is hashed
+        read = DUPLICATES[point](wrapped)
+        assert read._signed is None
+        assert verdict(read, profile, keys) == ("ok", 1)
+    assert read.tag == expected
+    assert wrapped.tag == expected and wrapped.tag is wrapped.tag
+    # a tag that has been read is still vouched for without a hash
+    assert verdict(wrapped, profile, keys) == ("ok", 0)
+    # a tag written in place is hashed and refused, read or not
+    unread = wrap(profile, keys, *msg, subject=2)
+    for env in (wrapped, unread):
+        object.__setattr__(env, "tag", flip_bit(expected, bit))
+        assert verdict(env, profile, keys) == ("mismatch", 1)
 
 
 @pytest.mark.parametrize("duplicate", [
