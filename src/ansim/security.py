@@ -148,20 +148,6 @@ def _digest(key: bytes, *parts: object, size: int = 32) -> bytes:
     return _stretch(h.digest(), size)
 
 
-class _Table(dict):
-    """``build(key)`` per key, built on first use."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-_KIND_FRAMES = {kind: _frame(kind._value_) for kind in EnvelopeKind}
-
-
 GROUP_KEY_ID = "group"
 
 # The last slot of a signed envelope's record until its tag is read: no tag
@@ -176,9 +162,10 @@ class KeyRegistry:
     deployment time (derived from the run seed); pair session keys appear
     only once the in-band handshake for that pair completes.
 
-    Tags are hashed from copies of a keyed state built once per signing key
-    and tag size; ``tag_of`` is how an envelope whose record names this
-    registry computes its tag when the tag is first read. Sessions are
+    No keyed hash state is kept: a signing key is derived once per node,
+    and every tag is hashed afresh under it, since a simulation reads no
+    tag. ``tag_of`` is how an envelope whose record names this registry
+    computes its tag when the tag is first read. Sessions are
     keyed by the ordered pair ``(low, high)``; a pair's sealing-key id and
     holder set are built when it is established.
     """
@@ -190,11 +177,6 @@ class KeyRegistry:
         self._sessions: dict[tuple[int, int], str] = {}
         self._pair_holders: dict[str, frozenset[int]] = {}
         self._signing: dict[int, bytes] = {}
-        # tag size -> node -> keyed state, only ever copied
-        self._signers: dict[int, dict[int, object]] = {}
-        # node id -> its framed tag input; length -> its 4-byte prefix
-        self.id_frames = _Table(_frame)
-        self.length_prefixes = _Table(lambda n: n.to_bytes(4, "big"))
         self.group_members: set[int] = {CMU_ID}
         self.group_key = _digest(self._root, "group")
 
@@ -203,18 +185,6 @@ class KeyRegistry:
         if key is None:
             key = self._signing[node] = _digest(self._root, "sign", node)
         return key
-
-    def signer(self, node: int, size: int):
-        """A blake2b state keyed with ``node``'s signing key for tags of
-        ``size`` bytes. Hash a copy: the state is shared by every tag."""
-        try:
-            return self._signers[size][node]
-        except KeyError:
-            pass
-        state = hashlib.blake2b(key=self.signing_key(node),
-                                digest_size=min(size, 64))
-        self._signers.setdefault(size, {})[node] = state
-        return state
 
     def tag_of(self, signed: list) -> bytes:
         """The tag of a signed envelope's record ``[self, sig_len, kind,
@@ -252,18 +222,10 @@ class KeyRegistry:
 def _tag_for(keys: KeyRegistry, sig_len: int, kind: EnvelopeKind,
              sender: int, receiver: int, payload: bytes,
              sent_at: int) -> bytes:
-    """The signature tag: the bytes of ``_digest(keys.signing_key(sender),
-    kind, sender, receiver, payload, sent_at, size=sig_len)``, hashed as one
-    buffer by a copy of the sender's keyed state."""
-    h = keys.signer(sender, sig_len).copy()
-    ids = keys.id_frames
-    lengths = keys.length_prefixes
-    sent = str(sent_at).encode()
-    h.update(b"".join((_KIND_FRAMES[kind], ids[sender], ids[receiver],
-                       lengths[len(payload)], payload, lengths[len(sent)],
-                       sent)))
-    tag = h.digest()
-    return tag if sig_len <= 64 else _stretch(tag, sig_len)
+    """The signature tag: the framed digest of the signed fields under the
+    sender's signing key."""
+    return _digest(keys.signing_key(sender), kind._value_, sender, receiver,
+                   payload, sent_at, size=sig_len)
 
 
 def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,

@@ -490,7 +490,7 @@ def test_tag_is_the_framed_digest_of_the_signed_fields(
     expected = _digest(keys.signing_key(sender), kind.value, sender,
                        receiver, payload, sent_at, size=sig_len)
     assert _tag_for(keys, sig_len, *msg) == expected
-    # the cached keyed state is copied, never consumed
+    # nothing is kept between calls that could change the next tag
     assert _tag_for(keys, sig_len, *msg) == expected
     if sig_len >= 40:
         # shorter tags may collide by chance
