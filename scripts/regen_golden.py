@@ -2,6 +2,8 @@
 """Regenerate the golden files under tests/data/.
 
 Run this only after an intentional behaviour change, then review the diff.
+A rewrite prints each trace file and digest key whose content changed and
+how many were left unchanged, so the change names what it regenerated.
 ``--check`` recomputes every golden file without writing anything, prints
 each key that no longer matches and exits 1 if there is one, so a change
 meant to keep the output byte-identical can prove it with one command.
@@ -212,18 +214,32 @@ def golden_traces() -> dict[str, str]:
     return traces
 
 
-def check() -> int:
-    """Recompute every golden file without writing; print each key whose
-    output differs from the pinned one and return 1 if any does."""
-    mismatched = [name for name, text in golden_traces().items()
-                  if (DATA_DIR / name).read_text(encoding="utf-8") != text]
-    pinned = json.loads(DIGESTS_FILE.read_text(encoding="utf-8"))
+def _read(path: pathlib.Path):
+    """The text of ``path``, or None when there is no such file."""
+    return path.read_text(encoding="utf-8") if path.exists() else None
+
+
+def compare():
+    """Recompute every golden file without writing; return the traces, the
+    digests and each trace file and digest key whose content differs from
+    the golden files."""
+    traces = golden_traces()
+    changed = [name for name, text in traces.items()
+               if _read(DATA_DIR / name) != text]
+    pinned = json.loads(_read(DIGESTS_FILE) or "{}")
     digests = golden_digests()
-    mismatched += [key for key in sorted(pinned.keys() | digests.keys())
-                   if pinned.get(key) != digests.get(key)]
+    changed += [key for key in sorted(pinned.keys() | digests.keys())
+                if pinned.get(key) != digests.get(key)]
+    return traces, digests, changed
+
+
+def check() -> int:
+    """Print each trace file and digest key whose output differs from the
+    pinned one and return 1 if any does."""
+    traces, digests, mismatched = compare()
     for key in mismatched:
         print(f"mismatch: {key}")
-    print(f"checked {len(GOLDEN_SCENARIOS)} traces and {len(digests)} "
+    print(f"checked {len(traces)} traces and {len(digests)} "
           f"digests: {len(mismatched)} mismatched")
     return 1 if mismatched else 0
 
@@ -235,15 +251,17 @@ def main(argv=None) -> int:
                              "rewriting them; exit 1 on any mismatch")
     if parser.parse_args(argv).check:
         return check()
+    traces, digests, changed = compare()
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    for name, text in golden_traces().items():
-        path = DATA_DIR / name
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path} ({len(text.splitlines())} lines)")
-    digests = golden_digests()
+    for name, text in traces.items():
+        (DATA_DIR / name).write_text(text, encoding="utf-8")
     DIGESTS_FILE.write_text(json.dumps(digests, indent=2) + "\n",
                             encoding="utf-8")
-    print(f"wrote {DIGESTS_FILE} ({len(digests)} digests)")
+    for key in changed:
+        print(f"changed: {key}")
+    written = traces.keys() | digests.keys()
+    print(f"wrote {len(traces)} traces and {len(digests)} digests: "
+          f"{len(written - set(changed))} unchanged")
     return 0
 
 

@@ -101,6 +101,42 @@ def test_check_names_each_mismatch_and_writes_nothing(tmp_path, monkeypatch,
         == doctored
 
 
+def test_rewrite_names_each_changed_file_and_key(tmp_path, monkeypatch,
+                                                 capsys):
+    regen = load_script("regen_golden")
+    cases = [case for case in regen.digest_cases()
+             if case[0] in ("paper-case1/plain", "paper-case1/auth")]
+    monkeypatch.setattr(regen, "digest_cases", lambda: iter(cases))
+    digests = regen.golden_digests()
+    trace_name = "fire-sensor-dropout.trace"
+    trace = (regen.DATA_DIR / trace_name).read_text(encoding="utf-8")
+    monkeypatch.setattr(regen, "DATA_DIR", tmp_path)
+    monkeypatch.setattr(regen, "DIGESTS_FILE", tmp_path / "digests.json")
+    (tmp_path / trace_name).write_text(trace + "extra\n", encoding="utf-8")
+    # one digest changed, one gone and one that no case produces any more
+    doctored = dict(digests, **{"paper-case1/auth": "0" * 64,
+                                "retired/plain": "1" * 64})
+    del doctored["wire/paper-case1/plain"]
+    regen.DIGESTS_FILE.write_text(json.dumps(doctored), encoding="utf-8")
+    capsys.readouterr()
+    assert regen.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"changed: {trace_name}",
+        "changed: paper-case1/auth",
+        "changed: retired/plain",
+        "changed: wire/paper-case1/plain",
+        "wrote 1 traces and 4 digests: 2 unchanged",
+    ]
+    assert (tmp_path / trace_name).read_text(encoding="utf-8") == trace
+    assert json.loads(regen.DIGESTS_FILE.read_text(encoding="utf-8")) \
+        == digests
+    # a second rewrite finds nothing to change
+    assert regen.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "wrote 1 traces and 4 digests: 5 unchanged"]
+
+
 def test_regen_imports_its_own_checkout_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
