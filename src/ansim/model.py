@@ -158,15 +158,18 @@ class Envelope:
     ``payload`` is modeled content; its length is what accounting counts as
     payload bytes. ``wire_len`` includes any signature and encapsulation
     overhead the security layer adds. ``subject`` names the node a
-    notification-style envelope is about. ``detail`` is the small structured value that in a
-    real implementation would be encoded inside the payload, typed by kind:
-    a role assignment's ``(Role, admin id or None)``; the presented hardware
-    id of an authorization request or grant, the nonce of a challenge or
-    response and the step (1 or 2) of a key exchange, each an ``int``; the
-    ``Cause`` of a warning or alert; the purpose tag of a ping, pong, probe
-    or info message (``"rtt"``, ``"confirm"``, ``"probe"``, ``"reentry"``,
-    ``"new-admin"``, ``"cmu-supervision"``); None for every other kind. It
-    is neither traced, counted nor signed.
+    notification-style envelope is about. ``detail`` is the small
+    structured value that in a real implementation would be encoded inside
+    the payload, typed by kind: a role assignment's ``(Role, admin id or
+    None)``; the presented hardware id of an authorization request or
+    grant, the nonce of a challenge or response and the step (1 or 2) of a
+    key exchange, each an ``int``; the ``Cause`` of a warning or alert; the
+    purpose tag of a ping, pong, probe or info message (``"rtt"``,
+    ``"confirm"``, ``"probe"``, ``"reentry"``, ``"new-admin"``,
+    ``"cmu-supervision"``); None for every other kind.
+    Like ``subject``, it is signed with the payload, so a signed envelope
+    whose subject or detail is changed fails verification; it is neither
+    traced nor counted.
 
     ``_signed`` is the record of what the tag is computed from, which
     ``security.wrap`` hands a signed envelope in place of its tag and
@@ -208,8 +211,9 @@ class Envelope:
 
     def __getstate__(self) -> dict:
         # copies and pickles carry the tag's bytes and leave the record
-        # behind, as ``replace`` does: it names the signing registry, whose
-        # hash states cannot be copied
+        # behind, as ``replace`` does: the record holds the whole signing
+        # registry, which a deep copy or a pickle would duplicate, so a
+        # copy is verified by hashing its tag again
         return dict(self.__dict__, tag=self.tag, _signed=None)
 
 

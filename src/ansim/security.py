@@ -4,7 +4,7 @@ Three wrapping profiles cover the same traffic with increasing protection:
 
 * plain: wire length equals payload length, no integrity or confidentiality.
 * auth: every non-bootstrap envelope carries a signature tag of ``sig_len``
-  bytes over (sender, receiver, kind, payload, sent_at).
+  bytes over (kind, sender, receiver, payload, sent_at, subject, detail).
 * auth-encap: signature plus session-key encapsulation; only holders of the
   pair (or group) session key can read the payload, and each envelope grows
   by a further ``encap_overhead`` bytes.
@@ -188,11 +188,12 @@ class KeyRegistry:
 
     def tag_of(self, signed: list) -> bytes:
         """The tag of a signed envelope's record ``[self, sig_len, kind,
-        sender, receiver, payload, sent_at, _UNREAD]``, as ``wrap`` builds
-        it: ``_tag_for`` of its first seven items, which ``Envelope.tag``
-        asks for when it is first read. The tag replaces ``_UNREAD``, so
-        ``unwrap`` can tell it from a tag written in place."""
-        tag = signed[7] = _tag_for(*signed[:7])
+        sender, receiver, payload, sent_at, subject, detail, _UNREAD]``, as
+        ``wrap`` builds it: ``_tag_for`` of its first nine items, which
+        ``Envelope.tag`` asks for when it is first read. The tag replaces
+        ``_UNREAD``, so ``unwrap`` can tell it from a tag written in
+        place."""
+        tag = signed[9] = _tag_for(*signed[:9])
         return tag
 
     def provision_member(self, node: int) -> None:
@@ -220,12 +221,17 @@ class KeyRegistry:
 
 
 def _tag_for(keys: KeyRegistry, sig_len: int, kind: EnvelopeKind,
-             sender: int, receiver: int, payload: bytes,
-             sent_at: int) -> bytes:
+             sender: int, receiver: int, payload: bytes, sent_at: int,
+             subject: Optional[int], detail: object) -> bytes:
     """The signature tag: the framed digest of the signed fields under the
-    sender's signing key."""
+    sender's signing key. A tuple ``detail`` is framed element by element
+    and an enum member by its value; the signed ``kind`` fixes the shape
+    of ``detail``."""
+    parts = detail if type(detail) is tuple else (detail,)
     return _digest(keys.signing_key(sender), kind._value_, sender, receiver,
-                   payload, sent_at, size=sig_len)
+                   payload, sent_at, subject,
+                   *[p._value_ if isinstance(p, Enum) else p for p in parts],
+                   size=sig_len)
 
 
 def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
@@ -238,9 +244,9 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     Under auth-encap a unicast needs the pair's session (NoSessionKey
     otherwise) and a broadcast is sealed with the group key. A signed
     envelope carries no tag but the record ``[keys, sig_len, kind, sender,
-    receiver, payload, sent_at, _UNREAD]`` of what its tag is computed
-    from; ``Envelope.tag`` computes the tag through ``keys.tag_of`` on
-    first read.
+    receiver, payload, sent_at, subject, detail, _UNREAD]`` of what its
+    tag is computed from; ``Envelope.tag`` computes the tag through
+    ``keys.tag_of`` on first read.
     """
     pkind = profile.kind
     if pkind is _PLAIN or kind in BOOTSTRAP_KINDS:
@@ -259,7 +265,7 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
                     len(payload) + profile.overhead, subject, detail,
                     pkind._value_, None, key_id,
                     _signed=[keys, profile.sig_len, kind, sender, receiver,
-                             payload, sent_at, _UNREAD])
+                             payload, sent_at, subject, detail, _UNREAD])
 
 
 def unwrap(env: Envelope, profile: SecurityProfile,
@@ -301,10 +307,12 @@ def unwrap(env: Envelope, profile: SecurityProfile,
     if (signed is None or signed[6] is not env.sent_at
             or signed[5] is not env.payload or signed[3] is not env.sender
             or signed[4] is not env.receiver or signed[2] is not env.kind
+            or signed[7] is not env.subject or signed[8] is not env.detail
             or signed[1] is not sig_len or signed[0] is not keys
-            or env.__dict__.get("tag", _UNREAD) is not signed[7]):
+            or env.__dict__.get("tag", _UNREAD) is not signed[9]):
         if env.tag != _tag_for(keys, sig_len, env.kind, env.sender,
-                               env.receiver, env.payload, env.sent_at):
+                               env.receiver, env.payload, env.sent_at,
+                               env.subject, env.detail):
             raise TagMismatch("signature tag does not verify")
     return env.payload
 

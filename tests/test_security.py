@@ -4,7 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +18,7 @@ from ansim.model import (
     Cause,
     Envelope,
     EnvelopeKind,
+    Role,
     SimError,
 )
 from ansim.security import (
@@ -64,11 +65,26 @@ class Message(NamedTuple):
     receiver: int
     payload: bytes
     sent_at: int
+    subject: Optional[int] = None
+    detail: object = None
 
 
 def msg_of(kind=EnvelopeKind.SENSOR_DATA, sender=1, receiver=2, length=120,
-           sent_at=1000):
-    return Message(kind, sender, receiver, b"s" * length, sent_at)
+           sent_at=1000, subject=None, detail=None):
+    return Message(kind, sender, receiver, b"s" * length, sent_at, subject,
+                   detail)
+
+
+# each shape a detail takes, with the digest parts it is signed as
+DETAILS = [
+    (None, [None]),
+    (7, [7]),
+    ("rtt", ["rtt"]),
+    (Cause.TRIPLE_LOSS, ["triple_loss"]),
+    ((Role.ADMINISTRATOR, None), ["administrator", None]),
+    ((Role.LOW_RANK, 5), ["low_rank", 5]),
+]
+DETAIL_VALUES = [detail for detail, _ in DETAILS]
 
 
 # ------------------------------------------------------------------ profiles
@@ -90,8 +106,8 @@ def wire_len(profile_name, kind=EnvelopeKind.SENSOR_DATA, receiver=2,
     keys = fresh_keys()
     keys.establish(1, 2)
     return wrap(PROFILES[profile_name], keys,
-                *msg_of(kind=kind, receiver=receiver, length=length),
-                subject=3).wire_len
+                *msg_of(kind=kind, receiver=receiver, length=length,
+                        subject=3)).wire_len
 
 
 def test_wire_length_additivity_exact():
@@ -139,8 +155,9 @@ def test_wrap_builds_the_wire_envelope_with_subject_and_detail(profile_name):
     profile = PROFILES[profile_name]
     keys = fresh_keys()
     keys.establish(1, CMU_ID)
-    msg = msg_of(kind=EnvelopeKind.WARNING, receiver=CMU_ID, length=32)
-    wrapped = wrap(profile, keys, *msg, subject=2, detail=Cause.SINGLE_LOSS)
+    msg = msg_of(kind=EnvelopeKind.WARNING, receiver=CMU_ID, length=32,
+                 subject=2, detail=Cause.SINGLE_LOSS)
+    wrapped = wrap(profile, keys, *msg)
     assert type(wrapped) is Envelope
     assert tuple(getattr(wrapped, f) for f in Message._fields) == msg
     assert wrapped.subject == 2 and wrapped.detail is Cause.SINGLE_LOSS
@@ -150,7 +167,7 @@ def test_wrap_builds_the_wire_envelope_with_subject_and_detail(profile_name):
     assert CMU_ID in (key_holders(wrapped, profile, keys) or {CMU_ID})
     # a notification kind still needs its subject
     with pytest.raises(SimError):
-        wrap(profile, keys, *msg)
+        wrap(profile, keys, *msg._replace(subject=None))
 
 
 def test_bootstrap_kinds_never_wrapped():
@@ -276,6 +293,33 @@ def test_changing_any_signed_field_fails_the_tag(profile_name, field):
         unwrap(tampered, profile, keys)
 
 
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("profile_name", ["auth", "auth-encap"])
+def test_a_forged_subject_or_role_fails_the_tag(profile_name, in_place):
+    # an alert blamed on another node, and a role assignment that makes
+    # its node the administrator, as the management unit sends them
+    profile = PROFILES[profile_name]
+    keys = keys_with_every_session()
+    alert = wrap(profile, keys, *msg_of(
+        kind=EnvelopeKind.ALERT, sender=1, receiver=CMU_ID, length=32,
+        subject=3, detail=Cause.TRIPLE_LOSS))
+    assignment = wrap(profile, keys, *msg_of(
+        kind=EnvelopeKind.ROLE_ASSIGNMENT, sender=CMU_ID, receiver=2,
+        length=32, subject=2, detail=(Role.LOW_RANK, 3)))
+    for env, field, value in [(alert, "subject", 2),
+                              (assignment, "detail",
+                               (Role.ADMINISTRATOR, None))]:
+        assert unwrap(env, profile, keys) == env.payload
+        if in_place:
+            # the record no longer vouches for the envelope
+            object.__setattr__(env, field, value)
+            forged = env
+        else:
+            forged = dataclasses.replace(env, **{field: value})
+        with pytest.raises(TagMismatch):
+            unwrap(forged, profile, keys)
+
+
 SIGNED_KINDS = [kind for kind in EnvelopeKind if kind not in BOOTSTRAP_KINDS]
 PARTIES = [CMU_ID, 1, 2, 3]
 
@@ -314,19 +358,20 @@ def verdict(env, profile, keys):
        kind=st.sampled_from(SIGNED_KINDS), sender=st.sampled_from(PARTIES),
        receiver=st.sampled_from(PARTIES + [BROADCAST]),
        payload=st.binary(max_size=64), sent_at=st.integers(0, 10**12),
+       detail=st.sampled_from(DETAIL_VALUES),
        change=st.sampled_from(["kind", "sender", "receiver", "payload",
-                               "sent_at", "sent_at_as_float", "tag"]),
+                               "sent_at", "sent_at_as_float", "subject",
+                               "detail", "tag"]),
        data=st.data())
 def test_the_record_of_a_tag_changes_no_verification_outcome(
-        profile_name, kind, sender, receiver, payload, sent_at, change,
-        data):
+        profile_name, kind, sender, receiver, payload, sent_at, detail,
+        change, data):
     assume(sender != receiver)
     profile = PROFILES[profile_name]
     signer = keys_with_every_session()
-    msg = Message(kind, sender, receiver, payload, sent_at)
-    genuine = wrap(profile, signer, *msg, subject=2)
-    other = wrap(profile, signer, *msg._replace(sent_at=sent_at + 1),
-                 subject=2)
+    msg = Message(kind, sender, receiver, payload, sent_at, 2, detail)
+    genuine = wrap(profile, signer, *msg)
+    other = wrap(profile, signer, *msg._replace(sent_at=sent_at + 1))
     if change == "tag":
         # a forgery that carries another genuine tag
         value = other.tag
@@ -343,13 +388,18 @@ def test_the_record_of_a_tag_changes_no_verification_outcome(
                 [p for p in PARTIES + [BROADCAST] if p != receiver])),
             "payload": payload + b"x",
             "sent_at": sent_at + 1,
+            "subject": data.draw(st.sampled_from(
+                [p for p in PARTIES if p != 2])),
+            "detail": data.draw(st.sampled_from(
+                [d for d in DETAIL_VALUES if d != detail])),
         }[change]
     # replace copies fields only, so the forgery carries no record
     forged = dataclasses.replace(genuine, **{change: value})
     # equal values in other objects: the record cannot vouch for them, the
     # hash does
     lookalike = dataclasses.replace(
-        genuine, payload=bytes(bytearray(payload)), sent_at=int(str(sent_at)))
+        genuine, payload=bytes(bytearray(payload)), sent_at=int(str(sent_at)),
+        detail=tuple(list(detail)) if type(detail) is tuple else detail)
     # the forgery before and after the genuine envelope is verified, then
     # the genuine envelope's replay
     envs = [forged, genuine, forged, genuine, lookalike, other]
@@ -385,16 +435,18 @@ DUPLICATES = {
        kind=st.sampled_from(SIGNED_KINDS), sender=st.sampled_from(PARTIES),
        receiver=st.sampled_from(PARTIES + [BROADCAST]),
        payload=st.binary(max_size=64), sent_at=st.integers(0, 10**12),
+       detail=st.sampled_from(DETAIL_VALUES),
        point=st.sampled_from(["wrap", "unwrap", "forgery", *DUPLICATES]),
        bit=st.integers(0, 8 * 40 - 1))
 def test_a_tag_read_late_is_the_tag_of_the_wrapped_fields(
-        profile_name, kind, sender, receiver, payload, sent_at, point, bit):
+        profile_name, kind, sender, receiver, payload, sent_at, detail,
+        point, bit):
     assume(sender != receiver)
     profile = PROFILES[profile_name]
     keys = keys_with_every_session()
-    msg = Message(kind, sender, receiver, payload, sent_at)
+    msg = Message(kind, sender, receiver, payload, sent_at, 2, detail)
     expected = _tag_for(keys, profile.sig_len, *msg)
-    wrapped = wrap(profile, keys, *msg, subject=2)
+    wrapped = wrap(profile, keys, *msg)
     # wrap computes no tag
     assert "tag" not in vars(wrapped)
     if point == "wrap":
@@ -418,7 +470,7 @@ def test_a_tag_read_late_is_the_tag_of_the_wrapped_fields(
     # a tag that has been read is still vouched for without a hash
     assert verdict(wrapped, profile, keys) == ("ok", 0)
     # a tag written in place is hashed and refused, read or not
-    unread = wrap(profile, keys, *msg, subject=2)
+    unread = wrap(profile, keys, *msg)
     for env in (wrapped, unread):
         object.__setattr__(env, "tag", flip_bit(expected, bit))
         assert verdict(env, profile, keys) == ("mismatch", 1)
@@ -479,16 +531,20 @@ node_ids = st.one_of(st.sampled_from([BROADCAST, CMU_ID]),
 @given(kind=st.sampled_from(list(EnvelopeKind)), sender=node_ids,
        receiver=node_ids, payload=st.binary(max_size=300),
        sent_at=st.integers(0, 10**9),
+       subject=st.one_of(st.none(), node_ids), detail=st.sampled_from(DETAILS),
        sig_len=st.sampled_from([1, 40, 64, 65, 100]))
 # a payload whose length needs more than two bytes of its prefix
 @example(kind=EnvelopeKind.SENSOR_DATA, sender=1, receiver=BROADCAST,
-         payload=b"s" * 70000, sent_at=1000, sig_len=40)
+         payload=b"s" * 70000, sent_at=1000, subject=None, detail=DETAILS[0],
+         sig_len=40)
 def test_tag_is_the_framed_digest_of_the_signed_fields(
-        kind, sender, receiver, payload, sent_at, sig_len):
+        kind, sender, receiver, payload, sent_at, subject, detail, sig_len):
     keys = fresh_keys()
-    msg = Message(kind, sender, receiver, payload, sent_at)
+    detail, parts = detail
+    msg = Message(kind, sender, receiver, payload, sent_at, subject, detail)
     expected = _digest(keys.signing_key(sender), kind.value, sender,
-                       receiver, payload, sent_at, size=sig_len)
+                       receiver, payload, sent_at, subject, *parts,
+                       size=sig_len)
     assert _tag_for(keys, sig_len, *msg) == expected
     # nothing is kept between calls that could change the next tag
     assert _tag_for(keys, sig_len, *msg) == expected
