@@ -166,10 +166,9 @@ class Envelope:
     key exchange, each an ``int``; the ``Cause`` of a warning or alert; the
     purpose tag of a ping, pong, probe or info message (``"rtt"``,
     ``"confirm"``, ``"probe"``, ``"reentry"``, ``"new-admin"``,
-    ``"cmu-supervision"``); None for every other kind.
-    Like ``subject``, it is signed with the payload, so a signed envelope
-    whose subject or detail is changed fails verification; it is neither
-    traced nor counted.
+    ``"cmu-supervision"``); None for every other kind. It is neither traced
+    nor counted. ``subject`` and ``detail`` are both signed, so a signed
+    envelope whose subject or detail is changed fails verification.
 
     ``_signed`` is the record of what the tag is computed from, which
     ``security.wrap`` hands a signed envelope in place of its tag and
