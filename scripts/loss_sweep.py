@@ -2,10 +2,13 @@
 """Lose each send of each bundled run alone, and report the losses that
 break liveness.
 
-For every bundled scenario under every profile, the sends of the
+For every distinct bundled scenario under every profile, the sends of the
 undisturbed run are numbered 1 to N as the recorder sees them. The scenario
 is then run N more times, each losing one of those sends through
-``Engine.force_lose``. Per run, the script prints each send whose loss fails
+``Engine.force_lose``. A scenario that differs from an earlier one only in
+its name, description and default profile is skipped, since every profile
+is run anyway: its runs would repeat the earlier scenario's. Per run, the
+script prints each send whose loss fails
 ``audit.audit_crashed_nodes_removed`` or removes a node that never had a
 fault. It ends with one sha256 over every outcome's report and trace, so
 two trees meant to behave alike can be compared by one line.
@@ -16,6 +19,7 @@ The simulator is imported from ``src/`` of the checkout this file sits in,
 whatever ``PYTHONPATH`` or an installed ``ansim`` would provide.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -64,11 +68,27 @@ def liveness_faults(report, cfg) -> list[str]:
     return found
 
 
+def distinct_scenarios():
+    """Each bundled scenario's name and config, less those that repeat an
+    earlier one apart from name, description and default profile; a line
+    names each one skipped."""
+    first = {}
+    for name in builtin_scenario_names():
+        cfg = load_scenario(name)
+        key = dataclasses.replace(
+            cfg, name="", description="",
+            security=dataclasses.replace(cfg.security, profile=""))
+        same = first.setdefault(key, name)
+        if same != name:
+            print(f"{name}: skipped, the same runs as {same}")
+            continue
+        yield name, cfg
+
+
 def main() -> int:
     digest = hashlib.sha256()
     outcomes = 0
-    for name in builtin_scenario_names():
-        cfg = load_scenario(name)
+    for name, cfg in distinct_scenarios():
         for profile in PROFILE_ORDER:
             sends = lose_one(cfg, profile)[0].sent
             breaking = []

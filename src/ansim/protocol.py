@@ -339,12 +339,14 @@ class Network:
         # timer tag -> (handler, argument); see _FIXED_TIMERS
         self._timer_routes: dict[str, tuple[Callable, Optional[int]]] = {
             tag: (handler, None) for tag, handler in _FIXED_TIMERS.items()}
-        self._node_tags: dict[str, dict[int, str]] = {
-            family: {} for family in _NODE_TIMERS}
-        # every endpoint's deadline tag, routed up front: the monitor paths
-        # read it straight from _node_tags["mon"]
-        for node in self.monitors:
-            self._node_tag("mon", node)
+        # family -> endpoint -> the tag "<family>/<endpoint>", which is also
+        # the timer's trace label; every one is routed here, up front
+        self._node_tags: dict[str, dict[int, str]] = {}
+        for family, handler in _NODE_TIMERS.items():
+            tags = self._node_tags[family] = {}
+            for node in self.monitors:
+                tag = tags[node] = f"{family}/{node}"
+                self._timer_routes[tag] = (handler, node)
 
         engine.on_deliver = self._on_deliver
         engine.on_timer = self._on_timer
@@ -391,7 +393,11 @@ class Network:
               subject: Optional[int] = None, detail: object = None,
               payload: Optional[bytes] = None) -> None:
         """Send one message under the active profile, deferring it behind a
-        session handshake when the profile seals it with a pair key."""
+        session handshake when the profile seals it with a pair key. This
+        is the entry for every send that may have to wait; a send that
+        never can, such as a duty timer's status broadcast or its sensor
+        reading under a profile that does not seal, goes to ``_transmit``
+        straight."""
         if (self._sealed and receiver != BROADCAST
                 and kind not in BOOTSTRAP_KINDS):
             hs = self._handshakes.get(
@@ -431,7 +437,7 @@ class Network:
         self._post(EnvelopeKind.KEY_EXCHANGE, a, b, detail=1)
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, a,
-            self._node_tag("hs", b), hs.gen)
+            self._node_tags["hs"][b], hs.gen)
 
     def _handshake_retry(self, owner: int, peer: int, gen: int) -> None:
         pair = (owner, peer) if owner < peer else (peer, owner)
@@ -451,7 +457,7 @@ class Network:
         self._post(EnvelopeKind.KEY_EXCHANGE, owner, peer, detail=1)
         self.engine.schedule_timer(
             self.engine.now + self.timers.rtt_timeout_ms, owner,
-            self._node_tag("hs", peer), hs.gen)
+            self._node_tags["hs"][peer], hs.gen)
 
     def _flush_pending(self, sender: int, receiver: int) -> None:
         for kind, subject, detail, payload in self._pending_out.pop(
@@ -607,7 +613,8 @@ class Network:
                 or st.status is not _ACTIVE):
             return
         engine = self._engine_ref()
-        self._post(_STATUS_BROADCAST, node, BROADCAST)
+        # a broadcast never waits on a handshake
+        self._transmit(_STATUS_BROADCAST, node, BROADCAST, None, None, None)
         engine.schedule(engine.now + self.timers.status_period_ms,
                         (node, "status", gen))
 
@@ -620,7 +627,11 @@ class Network:
         engine = self._engine_ref()
         target = st.known_admin if st.known_admin is not None else CMU_ID
         if target != node:
-            self._post(_SENSOR_DATA, node, target)
+            # only a sealing profile can make a unicast wait on a handshake
+            if self._sealed:
+                self._post(_SENSOR_DATA, node, target)
+            else:
+                self._transmit(_SENSOR_DATA, node, target, None, None, None)
         engine.schedule(engine.now + self.timers.sensor_data_period_ms,
                         (node, "sensor", gen))
 
@@ -744,7 +755,7 @@ class Network:
         gen = self._next_gen()
         self._probing[subject] = gen
         self.engine.schedule_timer(self.engine.now + PROBE_INTERVAL_MS,
-                                   CMU_ID, self._node_tag("probe", subject),
+                                   CMU_ID, self._node_tags["probe"][subject],
                                    gen)
 
     def _on_probe_timer(self, _owner: int, target: int, gen: int) -> None:
@@ -757,7 +768,7 @@ class Network:
         self._post(EnvelopeKind.DIAGNOSTIC_PROBE, CMU_ID, target,
                    detail="probe")
         self.engine.schedule_timer(self.engine.now + PROBE_INTERVAL_MS,
-                                   CMU_ID, self._node_tag("probe", target),
+                                   CMU_ID, self._node_tags["probe"][target],
                                    gen)
 
     def _on_probe(self, env: Envelope, node: int) -> None:
@@ -912,38 +923,29 @@ class Network:
     # ------------------------------------------------------------- delivery
 
     def _on_deliver(self, env: Envelope) -> None:
-        """Hand one delivered envelope to each eligible receiver.
+        """Hand one delivered envelope to its receiver, or to each eligible
+        receiver of a broadcast.
 
         What the kind decides comes from its one ``_DELIVERY`` record. The
         checks every receiver shares (profile, signature, a granted sender)
-        run once per envelope; each eligible receiver that cannot open it
-        still logs its own auth failure, in receiver order. A broadcast
-        whose handler acts at only a few receivers (a pruned kind) visits
-        just those and the receivers that must log a failure; bootstrap
-        kinds skip ``_readers``, as every receiver reads them.
-
-        The management unit is always eligible. A node is not while it is
-        crashed, nor while not active unless the record lists its status.
-        A monitored delivery runs no handler: it resets the receiver's loss
-        streak for the sender and re-arms its deadline, with the generation
-        counter kept in a local and written back after the loop. Nothing
-        else in the loop of a monitored kind schedules or takes a
-        generation, and every monitor of one kind has one period, so the
-        re-armed deadlines share a time and a tag, both computed once, and
-        consecutive generations and sequence numbers: two or more are
-        queued as one timer run.
+        run once per envelope, as does the question of which receivers a
+        pruned kind acts at; bootstrap kinds skip the shared checks, as
+        every receiver reads them. A broadcast goes through ``_deliver_each``'s
+        receiver loop; of a pruned kind, it visits just the receivers that
+        act and those that must log an auth failure. A unicast takes the
+        loop's steps here, for its one receiver and with nothing to skip or
+        batch: the receiver's eligibility, its own auth failure if it
+        cannot open the envelope, the acting check, and then the kind's
+        handler or, for a monitored kind, the reset of the receiver's
+        monitor of the sender and its one next deadline.
         """
-        sender = env.sender
         kind = env.kind
         bootstrap, pruned, monitored, heard_by, at_cmu, at_node = \
             _DELIVERY[kind]
         readers = None if bootstrap else self._readers(env)
         acting = self._acting_receivers(env) if pruned else None
-        if env.receiver != BROADCAST:
-            receivers = (env.receiver,)
-            skip = None
-        else:
-            skip = sender
+        receiver = env.receiver
+        if receiver == BROADCAST:
             if acting is None:
                 receivers = self._broadcast_receivers
             else:
@@ -951,6 +953,63 @@ class Network:
                 if readers is not None:
                     visit |= self._broadcast_set.difference(readers)
                 receivers = sorted(visit)
+            self._deliver_each(env, receivers, readers, acting)
+            return
+        engine = self._engine_ref()
+        if receiver != CMU_ID:
+            if receiver in engine.crashed:
+                return
+            st = self.nodes.get(receiver)
+            if st is None:
+                return
+            status = st.status
+            if status is not _ACTIVE and status not in heard_by:
+                return
+        if readers is not None and receiver not in readers:
+            self._notify(Severity.ALERT, Cause.AUTH_FAILURE,
+                         subject=env.sender, reporter=receiver)
+            return
+        if acting is not None and receiver not in acting:
+            return
+        if monitored:
+            sender = env.sender
+            ms = self.monitors[receiver].get(sender)
+            if ms is None or ms.kind is not kind:
+                return
+            period = self._periods[kind]
+            ms.consecutive_losses = 0
+            ms.next_expected = expected = engine.now + period
+            ms.gen = gen = self._gen = self._gen + 1
+            engine.schedule(expected + period // 4,
+                            (receiver, self._node_tags["mon"][sender], gen))
+            return
+        handler = at_cmu if receiver == CMU_ID else at_node
+        if handler is not None:
+            handler(self, env, receiver)
+
+    def _deliver_each(self, env: Envelope, receivers: Collection[int],
+                      readers: Optional[Collection[int]],
+                      acting: Optional[Collection[int]]) -> None:
+        """Hand ``env`` to each eligible one of ``receivers``, in order,
+        given what ``_on_deliver`` found once for the envelope. A broadcast
+        skips its own sender.
+
+        The management unit is always eligible. A node is not while it is
+        crashed, nor while not active unless the kind's record lists its
+        status. Each eligible receiver that cannot open the envelope logs
+        its own auth failure. A monitored delivery runs no handler: it
+        resets the receiver's loss streak for the sender and re-arms its
+        deadline, with the generation counter kept in a local and written
+        back after the loop. Nothing else in the loop of a monitored kind
+        schedules or takes a generation, and every monitor of one kind has
+        one period, so the re-armed deadlines share a time and a tag, both
+        computed once, and consecutive generations and sequence numbers:
+        two or more are queued as one timer run.
+        """
+        sender = env.sender
+        kind = env.kind
+        _, _, monitored, heard_by, at_cmu, at_node = _DELIVERY[kind]
+        skip = sender if env.receiver == BROADCAST else None
         engine = self._engine_ref()
         if monitored:
             period = self._periods[kind]
@@ -1085,8 +1144,8 @@ class Network:
         handler(self, owner, arg, data)
 
     def _on_timers(self, tag: str, owners: list[int], first_gen: int) -> None:
-        """A run of the monitor deadlines one delivery re-armed, which
-        ``_on_deliver`` queues under the tag ``mon/<watched>``. Each
+        """A run of the monitor deadlines one broadcast re-armed, which
+        ``_deliver_each`` queues under the tag ``mon/<watched>``. Each
         member's generation is checked when its turn comes, after the
         members before it have acted, as its own timer would be; most are
         stale, superseded by a later delivery."""
@@ -1096,16 +1155,6 @@ class Network:
             ms = monitors[watcher].get(watched)
             if ms is not None and ms.gen == gen:
                 self._on_monitor_deadline(watcher, watched, gen)
-
-    def _node_tag(self, family: str, node: int) -> str:
-        """The timer tag ``family/node``, formatted and routed on first use;
-        the tag is also the timer's trace label."""
-        tags = self._node_tags[family]
-        tag = tags.get(node)
-        if tag is None:
-            tag = tags[node] = f"{family}/{node}"
-            self._timer_routes[tag] = (_NODE_TIMERS[family], node)
-        return tag
 
     def _on_auth_retry(self, node: int, _arg: None, attempt: int) -> None:
         if not self.nodes[node].authorized and attempt < AUTH_MAX_ATTEMPTS:
@@ -1127,7 +1176,7 @@ class Network:
 
 # Delivery handlers by (kind, whether the receiver is the management unit).
 # Each is called as handler(network, envelope, receiver). The monitored
-# kinds have none: Network._on_deliver resets their monitors itself.
+# kinds have none: the delivery paths reset their monitors themselves.
 _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
     (EnvelopeKind.AUTHORIZATION_REQUEST, True): Network._on_auth_request,
     (EnvelopeKind.AUTH_CHALLENGE, False): Network._on_auth_challenge,
@@ -1147,7 +1196,8 @@ _HANDLERS: dict[tuple[EnvelopeKind, bool], Callable] = {
 
 
 class _Delivery(NamedTuple):
-    """What Network._on_deliver needs of one envelope kind."""
+    """What Network._on_deliver and _deliver_each need of one envelope
+    kind."""
 
     bootstrap: bool  # in BOOTSTRAP_KINDS: every receiver reads it
     pruned: bool  # in PRUNED_KINDS: see Network._acting_receivers
@@ -1171,8 +1221,9 @@ _DELIVERY: dict[EnvelopeKind, _Delivery] = {
 
 
 # Timer handlers, each called as handler(network, owner, argument, data).
-# A fixed tag has no argument. A per-node tag "<family>/<node>" is routed by
-# Network._node_tag when first scheduled, with the node as its argument.
+# A fixed tag has no argument. A per-node tag "<family>/<node>" is routed
+# for every endpoint when the Network is built, with the node as its
+# argument.
 _FIXED_TIMERS: dict[str, Callable] = {
     "bootstrap": Network._on_bootstrap_timer,
     "status": Network._on_status_timer,

@@ -35,6 +35,8 @@ from ansim.scenario import (
     load_scenario,
 )
 
+from helpers import sweep
+
 BUNDLED = [(name, profile) for name in builtin_scenario_names()
            for profile in PROFILE_ORDER]
 
@@ -238,6 +240,16 @@ def test_bundled_runs_pass_the_liveness_audit(name, profile):
     cfg = load_scenario(name)
     report = run_scenario(cfg, profile=profile).report
     assert audit.audit_crashed_nodes_removed(report, cfg) == []
+
+
+def test_the_loss_sweep_runs_each_distinct_scenario_once(capsys):
+    # paper-case3 is paper-case1 with another default profile, and the
+    # sweep runs every profile of a scenario anyway
+    kept = [name for name, _ in sweep.distinct_scenarios()]
+    assert kept == [name for name in builtin_scenario_names()
+                    if name != "paper-case3"]
+    assert capsys.readouterr().out == (
+        "paper-case3: skipped, the same runs as paper-case1\n")
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)

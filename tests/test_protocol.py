@@ -477,6 +477,59 @@ def test_tampered_broadcast_fails_at_every_eligible_receiver(profile):
                and n.severity is Severity.ALERT for n in notes)
 
 
+# --------------------------------------------------------- unicast delivery
+
+def settled_reading(profile):
+    """A 5-node network settled for 20 s, and a sensor reading from node 2
+    to its administrator, node 1, wrapped as node 2 would send it now."""
+    cfg = make_cfg(5, profile=profile, duration_ms=20000)
+    engine, net, _, _ = build_simulation(cfg)
+    engine.run_until(cfg.duration_ms)
+    reading = security.wrap(net.profile, net.keys, EnvelopeKind.SENSOR_DATA,
+                            2, 1, b"reading", engine.now)
+    return engine, net, reading
+
+
+def assert_refused_once(engine, net, refused, genuine):
+    """Deliver ``refused`` to node 1: it logs exactly one auth failure and
+    leaves node 1's monitor of node 2, the generations and the queue as
+    they were. ``genuine``, delivered next, is heard: it resets the monitor
+    and queues one deadline."""
+    monitor = dataclasses.replace(net.monitors[1][2])
+    queue = {at: list(bucket) for at, bucket in engine._buckets.items()}
+    scheduled, gen = engine.stats.scheduled, net._gen
+    before = len(net.notifications)
+    engine.on_deliver(refused)
+    assert [(n.severity, n.cause, n.subject, n.reporter)
+            for n in net.notifications[before:]] == [
+        (Severity.ALERT, Cause.AUTH_FAILURE, 2, 1)]
+    assert net.monitors[1][2] == monitor
+    assert (engine.stats.scheduled, net._gen) == (scheduled, gen)
+    assert {at: list(bucket)
+            for at, bucket in engine._buckets.items()} == queue
+    engine.on_deliver(genuine)
+    assert len(net.notifications) == before + 1
+    assert net.monitors[1][2].gen == net._gen == gen + 1
+    assert engine.stats.scheduled == scheduled + 1
+
+
+@pytest.mark.parametrize("profile", ["auth", "auth-encap"])
+def test_a_tampered_unicast_fails_once_at_its_receiver(profile):
+    engine, net, reading = settled_reading(profile)
+    tampered = dataclasses.replace(reading, tag=bytes(len(reading.tag)))
+    assert_refused_once(engine, net, tampered, reading)
+
+
+def test_a_unicast_sealed_under_a_key_its_receiver_lacks_is_refused():
+    engine, net, reading = settled_reading("auth-encap")
+    # node 2's pair key with the management unit, which node 1 does not hold
+    other = net.keys.sealing_key_id(CMU_ID, 2)
+    assert other is not None and 1 not in net.keys.session_holders(other)
+    assert_refused_once(engine, net,
+                        dataclasses.replace(reading, sealed_key_id=other),
+                        reading)
+
+
 def test_signature_tags_computed_once_per_delivered_envelope(monkeypatch):
     counts = {"tags": 0, "wraps": 0, "deliveries": 0}
     tag_for, wrap = security._tag_for, security.wrap

@@ -1,7 +1,7 @@
 """A timer run behaves as its timers would, queued one by one.
 
-``Network._on_deliver`` queues the monitor deadlines one delivery re-arms
-as one timer run. Splitting every run back into its timers at
+``Network._deliver_each`` queues the monitor deadlines one broadcast
+re-arms as one timer run. Splitting every run back into its timers at
 ``Engine.schedule`` queues each deadline on its own, dispatched through
 ``on_timer``. Both paths must give the same report and trace, byte for
 byte, on the bundled runs, and the same report, trace and sends on every
