@@ -71,7 +71,8 @@ def liveness_faults(report, cfg) -> list[str]:
 def distinct_scenarios():
     """Each bundled scenario's name and config, less those that repeat an
     earlier one apart from name, description and default profile; a line
-    names each one skipped."""
+    names each one skipped. ``scripts/regen_golden.py`` pins the runs of
+    the same scenarios."""
     first = {}
     for name in builtin_scenario_names():
         cfg = load_scenario(name)

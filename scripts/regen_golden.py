@@ -18,7 +18,11 @@ digest, directed links that override the default latency, jitter and
 loss, jitter bounds on both sides of a power of two, and a sensor that
 crashes after a failover. A ``wire/<scenario>/<profile>`` key per bundled
 run pins what went on the air: the payload, tag and sealing key of every
-recorded send, which neither the report nor the trace shows.
+recorded send, which neither the report nor the trace shows. A bundled
+scenario that repeats an earlier one apart from name, description and
+default profile is skipped, with a line that names it, as
+``scripts/loss_sweep.py`` skips it: every profile is run anyway, so its
+runs would repeat the earlier scenario's.
 
 The simulator is imported from ``src/`` of the checkout this file sits in,
 whatever ``PYTHONPATH`` or an installed ``ansim`` would provide.
@@ -32,7 +36,9 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# loss_sweep sits next to this file, which a module loaded by path, rather
+# than run, does not have on its path
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
 from ansim.kernel import FaultKind, FaultSpec  # noqa: E402
 from ansim.runner import (  # noqa: E402
@@ -45,6 +51,7 @@ from ansim.scenario import (  # noqa: E402
     load_scenario,
     parse_scenario,
 )
+from loss_sweep import distinct_scenarios  # noqa: E402
 
 DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_SCENARIOS = ("fire-sensor-dropout",)
@@ -113,8 +120,7 @@ def _link_overrides(n_nodes: int, admin: int) -> list[dict]:
 
 def digest_cases():
     """(key, scenario, profile) for every run whose digest is pinned."""
-    for name in builtin_scenario_names():
-        cfg = load_scenario(name)
+    for name, cfg in distinct_scenarios():
         for profile in PROFILE_ORDER:
             yield f"{name}/{profile}", cfg, profile
     # node 1 holds no group key, so every broadcast it hears fails for it

@@ -102,7 +102,6 @@ def audit_demotion_permanence(report: RunReport) -> list[str]:
 
 
 def audit_probe_cadence(trace: list[str],
-                        interval_ms: int = PROBE_INTERVAL_MS,
                         reentries: list[tuple[int, int]] = ()) -> list[str]:
     """Diagnostic probes toward one target arrive exactly one probe interval
     apart within a removal episode. A reentry ends the episode; a later
@@ -126,7 +125,7 @@ def audit_probe_cadence(trace: list[str],
             continue
         if any(prev < b <= at for b in boundaries.get(target, ())):
             continue
-        if at - prev != interval_ms:
+        if at - prev != PROBE_INTERVAL_MS:
             problems.append(
                 f"probe spacing to node {target} was {at - prev} ms at t={at}")
     return problems

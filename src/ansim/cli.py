@@ -154,8 +154,13 @@ def _paper_case_comparison(args, seed: Optional[int]) -> ComparisonReport:
 def _cmd_compare(args) -> int:
     seed = _resolve_seed(args)
     if args.paper_cases:
+        if args.scenario_name or args.scenario:
+            raise _CliError("--paper-cases compares the bundled reference "
+                            "scenarios and takes no scenario")
         comp = _paper_case_comparison(args, seed)
     else:
+        if args.normalize_nodes:
+            raise _CliError("--normalize-nodes needs --paper-cases")
         cfg = load_scenario(_resolve_scenario_arg(args))
         comp = compare_profiles(cfg, seed=seed)
     doc = json.dumps(comp.to_json_dict(), indent=2)

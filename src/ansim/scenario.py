@@ -28,6 +28,8 @@ class ScenarioError(SimError):
 
 
 PROFILE_NAMES = tuple(p.value for p in ProfileKind)
+# the SecurityConfig fields a SecurityProfile is built from
+_OVERHEADS = ("sig_len", "encap_overhead", "handshake_msg_len")
 FAULT_NAMES = tuple(k.value for k in FaultKind)
 
 
@@ -249,6 +251,16 @@ def _parse_security(data: Any, errors: list[str]) -> SecurityConfig:
     for name in ("payload_sensor_data", "payload_status_broadcast"):
         if values[name] <= 0:
             r.err(name, "must be > 0")
+    # ``run --profile`` and ``compare`` may build any profile from these, so
+    # each overhead must pass the checks of auth-encap, which uses all three
+    valid = {name: getattr(SecurityConfig, name) for name in _OVERHEADS}
+    for name in _OVERHEADS:
+        if values[name] >= 0:  # a negative one is reported above
+            try:
+                SecurityProfile.auth_encap(**dict(valid,
+                                                  **{name: values[name]}))
+            except SimError as exc:
+                r.err(name, str(exc))
     return SecurityConfig(profile=profile, **values)
 
 

@@ -104,11 +104,9 @@ class SecurityProfile:
             if self.encap_overhead or self.handshake_msg_len:
                 raise SimError("auth profile never encapsulates")
         else:
-            if self.sig_len <= 0 or self.encap_overhead <= 0:
-                raise SimError(
-                    "auth-encap profile requires sig_len and encap_overhead")
-            if self.handshake_msg_len <= 0:
-                raise SimError("auth-encap profile requires handshake_msg_len")
+            for name in ("sig_len", "encap_overhead", "handshake_msg_len"):
+                if getattr(self, name) <= 0:
+                    raise SimError(f"auth-encap profile requires {name} > 0")
         object.__setattr__(self, "overhead", self.sig_len + self.encap_overhead)
 
     @classmethod

@@ -1,13 +1,23 @@
 """What several test modules share: the scripts under ``scripts/`` loaded
-as modules, a small network, and a sweep over its single lost sends."""
+as modules, a small network, the digests of the distinct bundled runs and
+of every single lost send of the small network, and those digests through
+the straight paths, computed once per session."""
 
+import functools
 import hashlib
 import importlib.util
 import pathlib
 
 import pytest
 
-from ansim.scenario import LinksConfig, NodeSpec, ScenarioConfig, SecurityConfig
+from ansim.runner import PROFILE_ORDER
+from ansim.scenario import (
+    LinksConfig,
+    NodeSpec,
+    ScenarioConfig,
+    SecurityConfig,
+    load_scenario,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -22,6 +32,13 @@ def load_script(name):
 
 
 sweep = load_script("loss_sweep")
+regen = load_script("regen_golden")
+
+# (scenario name, profile) of every distinct bundled run: a scenario that
+# repeats an earlier one apart from name, description and default profile
+# has the same runs as the earlier one
+DISTINCT_RUNS = [(name, profile) for name, _ in sweep.distinct_scenarios()
+                 for profile in PROFILE_ORDER]
 
 
 def five_nodes(profile):
@@ -36,10 +53,19 @@ def five_nodes(profile):
                           security=SecurityConfig(profile=profile))
 
 
-def single_loss_digests(cfg, profile):
-    """Per send of the undisturbed run, with that send lost: the sha256 of
-    the report and trace as ``scripts/loss_sweep.py`` hashes them, and the
-    sha256 of every send, each as its full envelope."""
+def bundled_digests(name, profile):
+    """The run digest and the wire digest of bundled scenario ``name``
+    under ``profile``, as ``scripts/regen_golden.py`` pins them."""
+    cfg = load_scenario(name)
+    return regen.run_digest(cfg, profile), regen.wire_digest(cfg, profile)
+
+
+def single_loss_digests(profile):
+    """Per send of the undisturbed run of ``five_nodes(profile)``, with
+    that send lost: the sha256 of the report and trace as
+    ``scripts/loss_sweep.py`` hashes them, and the sha256 of every send,
+    each as its full envelope."""
+    cfg = five_nodes(profile)
     build = sweep.build_simulation
     wire = []
 
@@ -65,4 +91,12 @@ def single_loss_digests(cfg, profile):
             text = sweep.outcome_text(*sweep.lose_one(cfg, profile, seq))
             digests.append((hashlib.sha256(text.encode()).hexdigest(),
                             wire[-1].hexdigest()))
-    return digests
+    # a tuple, since the cached baseline is handed to every test that asks
+    return tuple(digests)
+
+
+# The baselines that each reference path is compared against: the digests
+# above through the straight paths, computed when first asked for and kept
+# for the session. A test asks for its baseline before it patches anything.
+straight_bundled_digests = functools.cache(bundled_digests)
+straight_single_loss_digests = functools.cache(single_loss_digests)

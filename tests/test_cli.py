@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ansim.cli import SEED_ENV_VAR, main
-from ansim.scenario import parse_scenario, scenario_to_json
+from ansim.scenario import load_scenario, parse_scenario, scenario_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -149,6 +149,58 @@ def test_compare_paper_cases_normalized_is_quiet(capsys):
     kx = doc["runs"]["auth-encap"]["messages"]["by_category"]["security"] \
         - doc["runs"]["plain"]["messages"]["by_category"]["security"]
     assert extra == kx > 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["paper-case1", "--paper-cases"], "takes no scenario"),
+    (["--paper-cases", "--scenario", "no/such.json"], "takes no scenario"),
+    (["paper-case1", "--normalize-nodes"], "needs --paper-cases"),
+], ids=["positional", "scenario-flag", "normalize-alone"])
+def test_compare_rejects_what_it_would_ignore(capsys, argv, message):
+    code, out, err = run_cli(capsys, "compare", *argv)
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+def scenario_file(tmp_path, name, **security):
+    """A copy of bundled scenario ``name`` with ``security`` settings
+    changed, as a file path."""
+    doc = json.loads(scenario_to_json(load_scenario(name)))
+    doc["security"].update(security)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", [
+    "sig_len", "encap_overhead", "handshake_msg_len"])
+def test_validate_rejects_an_overhead_of_zero(capsys, tmp_path, field):
+    # the file's own profile is auth, which reads sig_len alone; any other
+    # profile can still be picked at run time
+    path = scenario_file(tmp_path, "paper-case2", **{field: 0})
+    code, out, err = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: security.{field}: auth-encap profile requires "
+                   f"{field} > 0\n")
+
+
+@pytest.mark.parametrize("command,name,field", [
+    # an auth run reads sig_len
+    ("run", "paper-case2", "sig_len"),
+    # compare builds auth-encap from a plain file too
+    ("compare", "paper-case1", "encap_overhead"),
+])
+def test_an_overhead_of_zero_is_an_error_line_not_a_crash(
+        capsys, tmp_path, command, name, field):
+    path = scenario_file(tmp_path, name, **{field: 0})
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: security.{field}: auth-encap profile requires "
+                   f"{field} > 0\n")
 
 
 def test_validate_round_trips(capsys, tmp_path):

@@ -8,8 +8,8 @@ under a profile that does not seal, to ``Network._transmit`` without the
 handshake check of ``Network._post``, which could never defer them.
 Routing every unicast back through the loop as a one-receiver set, and
 every duty send back through ``_post``, must give the same report, trace
-and sends, byte for byte, on the bundled runs and on every single lost
-send of a small network.
+and sends, byte for byte, on the distinct bundled runs and on every single
+lost send of a small network.
 """
 
 import pytest
@@ -25,11 +25,14 @@ from ansim.model import (
 )
 from ansim.protocol import Network
 from ansim.runner import PROFILE_ORDER
-from ansim.scenario import builtin_scenario_names, load_scenario
 
-from helpers import five_nodes, load_script, single_loss_digests
-
-regen = load_script("regen_golden")
+from helpers import (
+    DISTINCT_RUNS,
+    bundled_digests,
+    single_loss_digests,
+    straight_bundled_digests,
+    straight_single_loss_digests,
+)
 
 
 def through_general_paths(monkeypatch):
@@ -82,24 +85,19 @@ def through_general_paths(monkeypatch):
     return routed
 
 
-@pytest.mark.parametrize("name,profile", [
-    (name, profile) for name in builtin_scenario_names()
-    for profile in PROFILE_ORDER])
+@pytest.mark.parametrize("name,profile", DISTINCT_RUNS)
 def test_bundled_runs_are_unchanged_by_the_general_paths(name, profile,
                                                          monkeypatch):
-    cfg = load_scenario(name)
-    straight = regen.run_digest(cfg, profile), regen.wire_digest(cfg, profile)
+    straight = straight_bundled_digests(name, profile)
     routed = through_general_paths(monkeypatch)
-    general = regen.run_digest(cfg, profile), regen.wire_digest(cfg, profile)
-    assert general == straight
+    assert bundled_digests(name, profile) == straight
     assert routed["unicasts"] and routed["duty sends"]
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)
 def test_every_single_loss_is_unchanged_by_the_general_paths(profile,
                                                              monkeypatch):
-    cfg = five_nodes(profile)
-    straight = single_loss_digests(cfg, profile)
+    straight = straight_single_loss_digests(profile)
     routed = through_general_paths(monkeypatch)
-    assert single_loss_digests(cfg, profile) == straight
+    assert single_loss_digests(profile) == straight
     assert routed["unicasts"] and routed["duty sends"]
