@@ -187,6 +187,17 @@ def test_validate_rejects_an_overhead_of_zero(capsys, tmp_path, field):
                    f"{field} > 0\n")
 
 
+@pytest.mark.parametrize("field", [
+    "sig_len", "encap_overhead", "handshake_msg_len"])
+def test_validate_reports_a_negative_overhead_once(capsys, tmp_path, field):
+    # the sign check names it; the auth-encap check does not repeat it
+    path = scenario_file(tmp_path, "paper-case2", **{field: -1})
+    code, out, err = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: security.{field}: must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("command,name,field", [
     # an auth run reads sig_len
     ("run", "paper-case2", "sig_len"),
