@@ -80,6 +80,11 @@ class LinksConfig:
     overrides: tuple[LinkOverride, ...] = ()
 
 
+def timer_label(owner: int, tag: str) -> str:
+    """The tail of a timer's trace line; ``run_until`` inlines it."""
+    return f"\ttimer/{tag}\t{owner}\t-\t0"
+
+
 @dataclass
 class KernelStats:
     scheduled: int = 0
@@ -96,16 +101,17 @@ class Engine:
     Envelope, a timer's the tuple ``(owner, tag, data)`` and a fault's its
     FaultSpec.
 
-    A timer run is the list ``[tag, owners, first_data]``: the timers
-    ``(owners[i], tag, first_data + i)`` due at one time, queued as one
-    entry that reserves one sequence number per owner. It is a list, not a
-    tuple, so that telling it from a timer costs a timer nothing. It is
-    traced and counted as its timers would be, one ``timer/<tag>`` line
-    and one dispatched event per owner under consecutive sequence numbers,
-    and is handed whole to ``on_timers``. Whatever that hook does, the run
-    is dispatched as a unit: if it raises, every timer of the run counts
-    as dispatched and none stays queued. The default hook hands each timer
-    to ``on_timer`` in turn.
+    A deadline is the pair ``(guard, gen)``, live only while ``guard.gen
+    == gen``; ``guard.label`` is its trace line after the sequence number,
+    as ``timer_label`` writes it. Only a live deadline is handed to
+    ``on_deadline(guard)``; a superseded one is skipped at dispatch, as a
+    cancelled event would be, but traced and counted all the same. A
+    deadline run is the list ``[guards, first_gen]``: the deadlines
+    ``(guards[i], first_gen + i)`` due at one time, queued as one entry
+    that reserves one sequence number per guard. Its lines, one per guard
+    under consecutive sequence numbers, are all written first; then each
+    guard is checked in turn, after the ones before it have acted. If the
+    hook raises, the whole run counts as dispatched and none stays queued.
     """
 
     def __init__(self, seed: int, links: LinksConfig,
@@ -135,12 +141,13 @@ class Engine:
         self._forced_losses: set[int] = set()
         self.on_deliver: Callable[[Envelope], None] = lambda env: None
         self.on_timer: Callable[[int, str, int], None] = lambda o, t, d: None
+        self.on_deadline: Callable[[object], None] = lambda guard: None
 
     # ---------------------------------------------------------------- queue
 
     def schedule(self, at: int, body: object, count: int = 1) -> None:
         """Queue ``body`` at ``at`` under the next ``count`` sequence
-        numbers; only a timer run reserves more than one."""
+        numbers; only a deadline run reserves more than one."""
         if at < self.now:
             raise SchedulingInPast(
                 f"cannot schedule at t={at}, clock is at t={self.now}")
@@ -158,29 +165,23 @@ class Engine:
     def schedule_timer(self, at: int, owner: int, tag: str, data: int = 0) -> None:
         self.schedule(at, (owner, tag, data))
 
-    def on_timers(self, tag: str, owners: list[int], first_data: int) -> None:
-        """The default run hook, which an instance attribute replaces: each
-        timer of the run goes to ``on_timer`` in turn."""
-        for data, owner in enumerate(owners, first_data):
-            self.on_timer(owner, tag, data)
-
     def pending(self) -> int:
-        """Events queued and not yet dispatched; a run counts its timers."""
+        """Events queued and not yet dispatched; a run counts per guard."""
         stats = self.stats
         return stats.scheduled - stats.dispatched
 
     def run_until(self, t_end: int) -> None:
         """Dispatch every event with time <= t_end, then advance the clock.
 
-        Deliveries, timers and timer runs, nearly every event, are
-        dispatched inline; ``on_deliver``, ``on_timer`` and ``on_timers``
-        are read at each event, so a callback replaced during the run takes
-        effect at the next one. A run writes its timers' trace lines before
-        its hook is called. An event scheduled at the current time during
-        dispatch joins the end of the list being drained, which is its
-        (time, sequence number) place, after any run being dispatched. If a
-        handler raises, the events dispatched so far are gone, the one that
-        raised with them, and the rest stay queued.
+        Deliveries, timers and deadlines, nearly every event, are
+        dispatched inline; ``on_deliver``, ``on_timer`` and ``on_deadline``
+        are read at each event, and at each live deadline of a run, so a
+        callback replaced during the run takes effect at the next one. An
+        event scheduled at the current time during dispatch joins the end
+        of the list being drained, which is its (time, sequence number)
+        place, after any run being dispatched. If a handler raises, the
+        events dispatched so far are gone, the one that raised with them,
+        and the rest stay queued.
         """
         times = self._times
         buckets = self._buckets
@@ -191,7 +192,7 @@ class Engine:
             self.now = at
             bucket = buckets[at]
             # entries dispatched from this bucket are the events dispatched
-            # less the extra timers of its runs
+            # less the extra deadlines of its runs
             first = stats.dispatched
             stamp = f"{at}\t"
             try:
@@ -206,6 +207,16 @@ class Engine:
                                 f"{stamp}{seq}\t{body.kind._value_}\t"
                                 f"{body.sender}\t{recv}\t{body.wire_len}")
                         self.on_deliver(body)
+                    elif cls is tuple and len(body) == 2:
+                        guard, gen = body
+                        try:
+                            label, live = guard.label, guard.gen == gen
+                        except AttributeError:
+                            raise SimError(f"unknown event body {body!r}")
+                        if trace is not None:
+                            trace.append(f"{stamp}{seq}{label}")
+                        if live:
+                            self.on_deadline(guard)
                     elif cls is tuple and len(body) == 3:
                         owner, tag, data = body
                         if trace is not None:
@@ -213,16 +224,17 @@ class Engine:
                                          f"{owner}\t-\t0")
                         self.on_timer(owner, tag, data)
                     elif cls is list:
-                        tag, owners, data = body
-                        extra = len(owners) - 1
+                        guards, gen = body
+                        extra = len(guards) - 1
                         stats.dispatched += extra
                         first += extra
                         if trace is not None:
-                            label = f"\ttimer/{tag}\t"
                             trace.extend([
-                                f"{stamp}{i}{label}{owner}\t-\t0"
-                                for i, owner in enumerate(owners, seq)])
-                        self.on_timers(tag, owners, data)
+                                f"{stamp}{i}{guard.label}"
+                                for i, guard in enumerate(guards, seq)])
+                        for gen, guard in enumerate(guards, gen):
+                            if guard.gen == gen:
+                                self.on_deadline(guard)
                     else:
                         self._dispatch_fault(at, seq, body)
             finally:

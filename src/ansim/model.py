@@ -146,11 +146,11 @@ class _SignatureTag:
 
 # ``init=False``: the generated frozen ``__init__`` sets each field through
 # object.__setattr__, and an envelope is built on every send. The one below
-# writes the instance dict in one update. ``__eq__``, ``__hash__``,
-# ``__repr__`` and the raising ``__setattr__`` are still generated, and
-# ``dataclasses.replace`` goes through this ``__init__``, subject check
-# included. ``_signed`` is no field, so all of them ignore it and
-# ``replace`` leaves it None; each of them reads ``tag``, so computes it.
+# stores each field in the instance dict, with no ``update`` keyword dict.
+# ``__eq__``, ``__hash__``, ``__repr__`` and the raising ``__setattr__`` are
+# still generated, and ``dataclasses.replace`` goes through this
+# ``__init__``, subject check included. ``_signed`` is no field, so all of
+# them ignore it and ``replace`` leaves it None; each reads ``tag``.
 @dataclass(frozen=True, init=False)
 class Envelope:
     """One message on the wire, built once per send by ``security.wrap``.
@@ -198,11 +198,17 @@ class Envelope:
         if subject is None and kind in SUBJECT_KINDS:
             raise SimError(f"{kind._value_} envelope requires a subject")
         d = self.__dict__
-        d.update(
-            kind=kind, sender=sender, receiver=receiver, payload=payload,
-            sent_at=sent_at, wire_len=wire_len, subject=subject,
-            detail=detail, profile_name=profile_name,
-            sealed_key_id=sealed_key_id, _signed=_signed)
+        d["kind"] = kind
+        d["sender"] = sender
+        d["receiver"] = receiver
+        d["payload"] = payload
+        d["sent_at"] = sent_at
+        d["wire_len"] = wire_len
+        d["subject"] = subject
+        d["detail"] = detail
+        d["profile_name"] = profile_name
+        d["sealed_key_id"] = sealed_key_id
+        d["_signed"] = _signed
         # last, so a signed envelope's dict, which gains its tag when the
         # tag is read, shares its key order with every other envelope's
         if _signed is None:

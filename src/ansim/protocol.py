@@ -17,6 +17,9 @@ in one table, ``Network.monitors[watcher][watched]``, and
 watcher's plan, wherever a role, a status, a roster or a known
 administrator changes. A monitor detects a missed packet when its expected
 arrival plus a grace window (a quarter of the period) passes without one.
+Each monitor guards its own deadlines: the engine hands one back only
+while the monitor's generation names it, so a deadline superseded by a
+later delivery, or a dropped monitor's, costs only its trace line.
 
 Node state is held centrally by the Network object; behaviour that in a real
 deployment would be node-local (timers, monitor bookkeeping) is keyed by node
@@ -31,7 +34,7 @@ from enum import Enum
 from typing import Callable, Collection, NamedTuple, Optional
 
 from . import security
-from .kernel import Engine
+from .kernel import Engine, timer_label
 from .model import (
     BOOTSTRAP_KINDS,
     BROADCAST,
@@ -114,11 +117,12 @@ FIXED_PAYLOAD_LEN = {
 
 @dataclass(slots=True)
 class MonitorState:
-    """Loss-streak tracker one watcher keeps for one watched node. The
-    streak is ``consecutive_losses`` alone; ``gen`` names the one live
-    deadline timer, so a deadline of another generation is stale. The
-    period follows from ``kind`` and the deadline's tag is
-    ``mon/<watched>``."""
+    """Loss-streak tracker one watcher keeps for one watched node, and the
+    engine's guard of its deadlines. The streak is ``consecutive_losses``
+    alone; ``gen`` names the one live deadline, and is 0, which no
+    deadline has, once the monitor is dropped. The period follows from
+    ``kind``; ``label`` is its deadlines' trace label, ``timer/mon/<watched>``
+    owned by the watcher."""
 
     watcher: int
     watched: int
@@ -126,6 +130,10 @@ class MonitorState:
     next_expected: int
     consecutive_losses: int = 0
     gen: int = 0
+    label: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.label = timer_label(self.watcher, f"mon/{self.watched}")
 
 
 def record_packet_outcome(ms: MonitorState, delivered: bool,
@@ -268,7 +276,7 @@ class Network:
     """Wires the protocol onto an event kernel for one run.
 
     The engine owns the network: its ``on_deliver``, ``on_timer`` and
-    ``on_timers`` are the network's bound methods, and the network holds
+    ``on_deadline`` are the network's bound methods, and the network holds
     the engine only weakly. A finished run is therefore no reference
     cycle, and reference counting frees it once its last holder lets go.
     Whoever uses the network keeps the engine too, as ``build_simulation``
@@ -349,7 +357,7 @@ class Network:
 
         engine.on_deliver = self._on_deliver
         engine.on_timer = self._on_timer
-        engine.on_timers = self._on_timers
+        engine.on_deadline = self._on_monitor_deadline
 
     @property
     def engine(self) -> Engine:
@@ -660,11 +668,12 @@ class Network:
         kind, watched = self._watch_plan(watcher)
         monitors = self.monitors[watcher]
         if restart is not None:
-            monitors.pop(restart, None)
+            gone = (restart,) if restart in monitors else ()
             watched = (restart,) if restart in watched else ()
         else:
-            for gone in monitors.keys() - watched:
-                del monitors[gone]
+            gone = monitors.keys() - watched
+        for node in gone:
+            monitors.pop(node).gen = 0
         expected = self.engine.now + self._periods[kind]
         for node in watched:
             if node not in monitors:
@@ -676,16 +685,13 @@ class Network:
     def _arm_monitor(self, ms: MonitorState) -> None:
         """Schedule ``ms``'s deadline: its expected arrival plus a grace of
         a quarter period."""
-        gen = self._gen = self._gen + 1
-        ms.gen = gen
-        self._engine_ref().schedule_timer(
-            ms.next_expected + self._periods[ms.kind] // 4, ms.watcher,
-            self._node_tags["mon"][ms.watched], gen)
+        ms.gen = gen = self._gen = self._gen + 1
+        self._engine_ref().schedule(
+            ms.next_expected + self._periods[ms.kind] // 4, (ms, gen))
 
-    def _on_monitor_deadline(self, watcher: int, watched: int, gen: int) -> None:
-        ms = self.monitors[watcher].get(watched)
-        if ms is None or ms.gen != gen:
-            return
+    def _on_monitor_deadline(self, ms: MonitorState) -> None:
+        """The engine's ``on_deadline``: ``ms``'s live deadline passed."""
+        watcher = ms.watcher
         engine = self._engine_ref()
         if watcher != CMU_ID and (
                 watcher in engine.crashed
@@ -982,8 +988,7 @@ class Network:
             ms.consecutive_losses = 0
             ms.next_expected = expected = engine.now + period
             ms.gen = gen = self._gen = self._gen + 1
-            engine.schedule(expected + period // 4,
-                            (receiver, self._node_tags["mon"][sender], gen))
+            engine.schedule(expected + period // 4, (ms, gen))
             return
         handler = at_cmu if receiver == CMU_ID else at_node
         if handler is not None:
@@ -1004,12 +1009,12 @@ class Network:
         deadline, with the generation counter kept in a local and written
         back after the loop. Nothing else in the loop of a monitored kind
         schedules or takes a generation, and every monitor of one kind has
-        one period, so the re-armed deadlines share a time and a tag, both
-        computed once, and consecutive generations and sequence numbers:
-        two or more are queued as one timer run. The runs are kept since a
-        broadcast re-arms a deadline at every receiver: queueing them as
-        single timers made ``fanout-plain`` ``wall_ref`` 10.9 % worse, in 6
-        of 6 pairs on a 2-core VM.
+        one period, so the re-armed deadlines share a time, computed once,
+        and consecutive generations and sequence numbers: two or more are
+        queued as one deadline run. The runs are kept since a broadcast
+        re-arms a deadline at every receiver: queueing them as single
+        timers made ``fanout-plain`` ``wall_ref`` 10.9 % worse, in 6 of 6
+        pairs on a 2-core VM.
         """
         sender = env.sender
         kind = env.kind
@@ -1049,19 +1054,18 @@ class Network:
                 ms.consecutive_losses = 0
                 ms.next_expected = expected
                 ms.gen = gen = gen + 1
-                rearmed.append(receiver)
+                rearmed.append(ms)
                 continue
             handler = at_cmu if receiver == CMU_ID else at_node
             if handler is not None:
                 handler(self, env, receiver)
         if rearmed:
             at = expected + period // 4
-            tag = self._node_tags["mon"][sender]
             n = len(rearmed)
             if n == 1:
-                engine.schedule(at, (rearmed[0], tag, gen))
+                engine.schedule(at, (rearmed[0], gen))
             else:
-                engine.schedule(at, [tag, rearmed, gen - n + 1], n)
+                engine.schedule(at, [rearmed, gen - n + 1], n)
             self._gen = gen
 
     def _readers(self, env: Envelope) -> Optional[Collection[int]]:
@@ -1148,19 +1152,6 @@ class Network:
         handler, arg = self._timer_routes[tag]
         handler(self, owner, arg, data)
 
-    def _on_timers(self, tag: str, owners: list[int], first_gen: int) -> None:
-        """A run of the monitor deadlines one broadcast re-armed, which
-        ``_deliver_each`` queues under the tag ``mon/<watched>``. Each
-        member's generation is checked when its turn comes, after the
-        members before it have acted, as its own timer would be; most are
-        stale, superseded by a later delivery."""
-        watched = self._timer_routes[tag][1]
-        monitors = self.monitors
-        for gen, watcher in enumerate(owners, first_gen):
-            ms = monitors[watcher].get(watched)
-            if ms is not None and ms.gen == gen:
-                self._on_monitor_deadline(watcher, watched, gen)
-
     def _on_auth_retry(self, node: int, _arg: None, attempt: int) -> None:
         if not self.nodes[node].authorized and attempt < AUTH_MAX_ATTEMPTS:
             self._send_auth_request(node, attempt + 1)
@@ -1238,7 +1229,6 @@ _FIXED_TIMERS: dict[str, Callable] = {
     "authretry": Network._on_auth_retry,
 }
 _NODE_TIMERS: dict[str, Callable] = {
-    "mon": Network._on_monitor_deadline,
     "probe": Network._on_probe_timer,
     "hs": Network._handshake_retry,
 }

@@ -15,6 +15,7 @@ from ansim.kernel import (
     LinksConfig,
     SchedulingInPast,
     UnknownReceiver,
+    timer_label,
 )
 from ansim.model import BROADCAST, CMU_ID, Envelope, EnvelopeKind, SimError
 from ansim.runner import build_simulation, run_scenario
@@ -34,6 +35,16 @@ def data_env(sender=1, receiver=2, at=0, kind=EnvelopeKind.SENSOR_DATA,
     payload = b"d" * length
     return Envelope(kind=kind, sender=sender, receiver=receiver,
                     payload=payload, sent_at=at, wire_len=length)
+
+
+class Guard:
+    """A deadline's guard as the kernel reads it: a trace label and the
+    generation of its live deadline."""
+
+    def __init__(self, owner, tag, gen):
+        self.owner = owner
+        self.label = timer_label(owner, tag)
+        self.gen = gen
 
 
 class SpyRecorder:
@@ -301,7 +312,7 @@ def test_every_schedule_goes_through_the_class_attribute(monkeypatch):
     monkeypatch.setattr(Engine, "schedule", counting_schedule)
     result = run_scenario(load_scenario("fire-sensor-dropout"),
                           profile="auth-encap")
-    # timer runs reserve a sequence number per timer
+    # deadline runs reserve a sequence number per deadline
     assert result.engine.stats.scheduled == reserved > calls > 0
     assert result.engine.stats.dispatched <= reserved
 
@@ -342,10 +353,11 @@ def test_malformed_timer_tuple_raises(body):
 # A queue program: events scheduled up front; per event id, the events its
 # handler schedules; the run_until stops; and, before each stop, events
 # scheduled from outside the loop. Each scheduling is (time or delay, size):
-# size 1 queues one timer, a larger size a timer run of that many. Delays of
-# spawned events count from the spawning event's time, those from outside
-# from the clock. Ids are handed out in scheduling order, one per timer, so
-# an event's id is its sequence number.
+# size 1 queues one timer or, for an odd id, one deadline, and a larger size
+# a deadline run of that many. Delays of spawned events count from the
+# spawning event's time, those from outside from the clock. Ids are handed
+# out in scheduling order, one per event, so an event's id is its sequence
+# number.
 sized = st.integers(1, 3)
 queue_programs = st.tuples(
     st.lists(st.tuples(st.integers(0, 30), sized), max_size=25),
@@ -366,7 +378,7 @@ def spawned(children, event_id):
 
 def reference_queue(program):
     """The dispatch order and the pending count after each stop, from a
-    heap of (time, id) pairs, a run being its timers one by one."""
+    heap of (time, id) pairs, a run being its deadlines one by one."""
     initial, children, stops, between = program
     heap, order, pending, now = [], [], [], 0
 
@@ -394,9 +406,9 @@ def reference_queue(program):
 @settings(max_examples=300, deadline=None)
 @given(queue_programs)
 def test_queue_dispatches_in_time_then_sequence_order(program):
-    # runs and single timers mix; a run's timers keep their own sequence
-    # numbers and trace lines, and whatever the default run hook's calls to
-    # on_timer schedule at the same time goes after the whole run
+    # timers, deadlines and deadline runs mix; a run's deadlines keep their
+    # own sequence numbers and trace lines, and whatever on_deadline
+    # schedules at the same time goes after the whole run
     initial, children, stops, between = program
     trace = []
     eng = make_engine(trace=trace)
@@ -405,20 +417,24 @@ def test_queue_dispatches_in_time_then_sequence_order(program):
 
     def schedule(at, size):
         nonlocal next_id
-        if size == 1:
-            eng.schedule_timer(at, 1000 + next_id, "q", next_id)
+        guards = [Guard(1000 + i, "q", i)
+                  for i in range(next_id, next_id + size)]
+        if size > 1:
+            eng.schedule(at, [guards, next_id], size)
+        elif next_id % 2:
+            eng.schedule(at, (guards[0], next_id))
         else:
-            owners = [1000 + i for i in range(next_id, next_id + size)]
-            eng.schedule(at, ["q", owners, next_id], size)
+            eng.schedule_timer(at, 1000 + next_id, "q", next_id)
         next_id += size
 
-    def on_timer(owner, tag, event_id):
+    def fire(owner, event_id):
         assert owner == 1000 + event_id
         order.append((eng.now, event_id))
         for delay, size in spawned(children, event_id):
             schedule(eng.now + delay, size)
 
-    eng.on_timer = on_timer
+    eng.on_timer = lambda owner, tag, event_id: fire(owner, event_id)
+    eng.on_deadline = lambda guard: fire(guard.owner, guard.gen)
     for at, size in initial:
         schedule(at, size)
     for stop, outside in zip(stops, between):
@@ -435,23 +451,38 @@ def test_queue_dispatches_in_time_then_sequence_order(program):
         1000 + event_id for _, event_id in order]
 
 
-def test_the_default_run_hook_hands_each_timer_to_on_timer():
+def test_only_live_deadlines_reach_on_deadline_and_every_one_is_traced():
     trace = []
     eng = make_engine(trace=trace)
     fired = []
     eng.on_timer = lambda owner, tag, data: fired.append((owner, tag, data))
+
+    def first_hook(guard):
+        # the hook is read again at each live deadline of a run
+        fired.append(("first", guard.owner))
+        eng.on_deadline = lambda guard: fired.append(("second", guard.owner))
+
+    eng.on_deadline = first_hook
+    # the run's deadlines have generations 7, 8 and 9; 3's guard moved on
+    run = [Guard(2, "mon/4", 7), Guard(3, "mon/4", 12), Guard(5, "mon/4", 9)]
     eng.schedule_timer(10, 1, "a")
-    eng.schedule(10, ["mon/4", [2, 3, 5], 7], 3)
+    eng.schedule(10, [run, 7], 3)
+    eng.schedule(10, (Guard(6, "mon/4", 3), 2))
+    eng.schedule(10, (Guard(7, "mon/4", 4), 4))
     eng.schedule_timer(10, 1, "b")
     eng.run_until(10)
-    assert fired == [(1, "a", 0), (2, "mon/4", 7), (3, "mon/4", 8),
-                     (5, "mon/4", 9), (1, "b", 0)]
+    assert fired == [(1, "a", 0), ("first", 2), ("second", 5),
+                     ("second", 7), (1, "b", 0)]
+    # a run's lines fall under consecutive sequence numbers, and a stale
+    # deadline writes its line as a live one does
     assert trace == ["10\t0\ttimer/a\t1\t-\t0",
                      "10\t1\ttimer/mon/4\t2\t-\t0",
                      "10\t2\ttimer/mon/4\t3\t-\t0",
                      "10\t3\ttimer/mon/4\t5\t-\t0",
-                     "10\t4\ttimer/b\t1\t-\t0"]
-    assert eng.stats.scheduled == eng.stats.dispatched == 5
+                     "10\t4\ttimer/mon/4\t6\t-\t0",
+                     "10\t5\ttimer/mon/4\t7\t-\t0",
+                     "10\t6\ttimer/b\t1\t-\t0"]
+    assert eng.stats.scheduled == eng.stats.dispatched == 7
 
 
 def test_a_run_whose_hook_raises_is_dispatched_as_a_unit():
@@ -460,24 +491,25 @@ def test_a_run_whose_hook_raises_is_dispatched_as_a_unit():
     fired = []
     eng.on_timer = lambda owner, tag, data: fired.append(tag)
 
-    def on_timers(tag, owners, first):
-        fired.append(tag)
+    def on_deadline(guard):
+        fired.append(guard.owner)
         # scheduled before the raise, so it must survive it
         eng.schedule_timer(eng.now, 1, "late")
-        raise RuntimeError("run hook failed")
+        raise RuntimeError("deadline hook failed")
 
-    eng.on_timers = on_timers
+    eng.on_deadline = on_deadline
     eng.schedule_timer(10, 1, "before")
-    eng.schedule(10, ["run", [2, 3, 4], 0], 3)
+    eng.schedule(10, [[Guard(o, "run", o - 2) for o in (2, 3, 4)], 0], 3)
     eng.schedule_timer(10, 1, "after")
     with pytest.raises(RuntimeError):
         eng.run_until(30)
-    # every timer of the run is traced and dispatched, none stays queued
-    assert fired == ["before", "run"]
+    # every deadline of the run is traced and dispatched, none stays
+    # queued, and the hook was not called past the one that raised
+    assert fired == ["before", 2]
     assert eng.stats.dispatched == 4
     assert eng.pending() == 2
     eng.run_until(30)
-    assert fired == ["before", "run", "after", "late"]
+    assert fired == ["before", 2, "after", "late"]
     assert [line.split("\t")[1:4] for line in trace] == [
         ["0", "timer/before", "1"], ["1", "timer/run", "2"],
         ["2", "timer/run", "3"], ["3", "timer/run", "4"],
@@ -512,29 +544,49 @@ def test_handler_raising_mid_bucket_leaves_the_rest_queued_once(k):
     assert eng.pending() == 0 and eng.now == 30
 
 
-def test_on_timer_replaced_after_build_receives_every_timer():
+def test_hooks_replaced_after_build_see_every_live_timer_and_deadline(
+        monkeypatch):
     cfg = load_scenario("admin-failover")
+    due = 0  # deadlines queued at or before the run's end
+    schedule = Engine.schedule
+
+    def counting_schedule(self, at, body, count=1):
+        nonlocal due
+        if at <= cfg.duration_ms and (
+                type(body) is list or type(body) is tuple and len(body) == 2):
+            due += count
+        return schedule(self, at, body, count)
+
+    monkeypatch.setattr(Engine, "schedule", counting_schedule)
     engine, _, _, trace = build_simulation(cfg, with_trace=True)
     fired = []
-    runs = 0
-    on_timer, on_timers = engine.on_timer, engine.on_timers
+    deadlines = 0
+    on_timer, on_deadline = engine.on_timer, engine.on_deadline
 
     def recording(owner, tag, data):
         fired.append(f"timer/{tag}\t{owner}")
         on_timer(owner, tag, data)
 
-    def recording_run(tag, owners, first):
-        nonlocal runs
-        runs += 1
-        fired.extend(f"timer/{tag}\t{owner}" for owner in owners)
-        on_timers(tag, owners, first)
+    def recording_deadline(ms):
+        nonlocal deadlines
+        deadlines += 1
+        fired.append(f"timer/mon/{ms.watched}\t{ms.watcher}")
+        on_deadline(ms)
 
     engine.on_timer = recording
-    engine.on_timers = recording_run
+    engine.on_deadline = recording_deadline
     engine.run_until(cfg.duration_ms)
-    assert runs > 0
     timers = ["\t".join(line.split("\t")[2:4]) for line in trace
               if line.split("\t")[2].startswith("timer/")]
-    assert fired == timers
+    mon = [line for line in timers if line.startswith("timer/mon/")]
+    # the hooks saw the traced timers in order, leaving out only
+    # superseded deadlines
+    assert [line for line in timers if not line.startswith("timer/mon/")] \
+        == [line for line in fired if not line.startswith("timer/mon/")]
+    traced = iter(timers)
+    assert all(line in traced for line in fired)
+    # every deadline due, superseded or not, wrote its line
+    assert len(mon) == due > deadlines > 0
+    assert len(trace) == engine.stats.dispatched
     families = {line.split("\t")[0].split("/")[1] for line in fired}
     assert {"bootstrap", "mon", "probe", "rtt", "confirm"} <= families

@@ -35,7 +35,7 @@ from ansim.scenario import (
     load_scenario,
 )
 
-from helpers import sweep
+from helpers import DISTINCT_RUNS, sweep
 
 BUNDLED = [(name, profile) for name in builtin_scenario_names()
            for profile in PROFILE_ORDER]
@@ -177,7 +177,7 @@ def test_the_watch_plan_holds_after_every_event(cfg, profile):
 
     engine.on_deliver = checked(engine.on_deliver)
     engine.on_timer = checked(engine.on_timer)
-    engine.on_timers = checked(engine.on_timers)
+    engine.on_deadline = checked(engine.on_deadline)
     engine.run_until(cfg.duration_ms)
     assert engine.stats.dispatched > 0
     assert violations == []
@@ -235,7 +235,7 @@ def test_audit_wants_the_last_word_on_a_crashed_node_to_be_a_removal():
     assert len(audit.audit_crashed_nodes_removed(report_with(back), cfg)) == 1
 
 
-@pytest.mark.parametrize("name,profile", BUNDLED)
+@pytest.mark.parametrize("name,profile", DISTINCT_RUNS)
 def test_bundled_runs_pass_the_liveness_audit(name, profile):
     cfg = load_scenario(name)
     report = run_scenario(cfg, profile=profile).report

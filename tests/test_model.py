@@ -107,6 +107,24 @@ def test_the_tag_is_a_non_data_descriptor_and_envelope_has_no_getattr():
         assert vars(env)["tag"] is tag
 
 
+def test_every_envelope_dict_has_one_key_order_with_the_tag_last():
+    # a signed envelope's dict gains its tag only when the tag is read, so
+    # every envelope stores the tag last to keep one key order for all
+    class Head:
+        def tag_of(self, record):
+            return b"t" * 40
+
+    order = [*(f.name for f in dataclasses.fields(Envelope)
+               if f.name != "tag"), "_signed", "tag"]
+    unsigned = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, tag=b"t" * 40)
+    assert list(vars(unsigned)) == order
+    signed = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, _signed=[Head()])
+    assert "tag" not in vars(signed)
+    assert signed.tag == b"t" * 40
+    assert list(vars(signed)) == order
+    assert signed == unsigned and hash(signed) == hash(unsigned)
+
+
 def test_every_subject_kind_requires_a_subject():
     for kind in SUBJECT_KINDS:
         with pytest.raises(SimError, match=kind.value):

@@ -42,9 +42,10 @@ from ansim.scenario import (
     ScenarioConfig,
     SecurityConfig,
     TimersConfig,
-    builtin_scenario_names,
     load_scenario,
 )
+
+from helpers import DISTINCT_RUNS
 
 
 def make_cfg(n_nodes, *, powers=None, faults=(), overrides=(),
@@ -128,6 +129,32 @@ def test_delivery_resets_the_streak():
     # the next loss is a fresh streak: warning again, alert two later
     assert [n.severity for n in record_packet_outcome(ms, False, at=4)] \
         == [Severity.WARNING]
+
+
+@pytest.mark.parametrize("change", ["restart", "drop"])
+def test_a_replaced_monitors_pending_deadline_counts_no_loss(change):
+    # the administrator's monitor of sensor 2 is watched anew when the
+    # administrator hears the sensor enrol again, and dropped when the
+    # sensor leaves its roster; either way the deadline the old monitor
+    # left queued must do nothing but write its line
+    engine, net, _, trace = build_simulation(make_cfg(4, duration_ms=60000),
+                                             with_trace=True)
+    engine.run_until(20000)
+    old = net.monitors[1][2]
+    due = old.next_expected + net.timers.sensor_data_period_ms // 4
+    assert due > engine.now
+    if change == "restart":
+        net._enrol(1, 2)
+        assert net.monitors[1][2] is not old
+    else:
+        del net.nodes[1].roster[2]
+        net._sync_watches(1)
+        assert 2 not in net.monitors[1]
+    engine.run_until(60000)
+    assert [line for line in trace
+            if line.startswith(f"{due}\t") and line.endswith(old.label)]
+    assert old.consecutive_losses == 0
+    assert [n for n in net.notifications if n.subject == 2] == []
 
 
 # --------------------------------------------------------------- succession
@@ -769,8 +796,7 @@ def lossy_failover_cfg():
 def test_finished_runs_leave_no_cyclic_garbage():
     # the engine owns the network and the network holds the engine weakly,
     # so reference counting alone frees a run once its result is dropped
-    runs = [(load_scenario(name), profile)
-            for name in builtin_scenario_names() for profile in PROFILE_ORDER]
+    runs = [(load_scenario(name), profile) for name, profile in DISTINCT_RUNS]
     runs.append((lossy_failover_cfg(), "auth-encap"))
     gc.collect()
     gc.disable()

@@ -1,12 +1,17 @@
-"""A timer run behaves as its timers would, queued one by one.
+"""A monitor deadline guarded by its own monitor behaves as one checked
+against the monitor table.
 
-``Network._deliver_each`` queues the monitor deadlines one broadcast
-re-arms as one timer run. Splitting every run back into its timers at
-``Engine.schedule`` queues each deadline on its own, dispatched through
-``on_timer``. Both paths must give the same report, trace and sends, byte
-for byte, on the distinct bundled runs and on every single lost send of a
-small network: a lost status broadcast leaves the deadlines of the next
-run live, the one path where ``Network._on_timers`` hands members on.
+The engine hands a deadline on only while the ``gen`` of the
+``MonitorState`` that queued it still names it, and
+``Network._sync_watches`` zeroes the ``gen`` of every monitor it drops. The
+reference path here checks each deadline as the table says instead: every
+deadline, a run's split out one by one, is queued as its own
+``mon/<watched>`` timer, and when it fires it looks up
+``net.monitors[watcher].get(watched)`` and compares that monitor's
+generation. Both paths must give the same report, trace and sends, byte for
+byte, on the distinct bundled runs and on every single lost send of a small
+network: a lost status broadcast leaves the deadlines of the next run live,
+the one path where a run hands members on.
 """
 
 import weakref
@@ -26,52 +31,61 @@ from helpers import (
 )
 
 
-def split_runs(monkeypatch):
-    """Queue each timer of every run on its own from the next network
-    built on. Returns a counter of the runs split and of their deadlines
-    still live when their turn comes, each of which the run would have
-    handed on to ``Network._on_monitor_deadline``."""
+def look_up_each_deadline(monkeypatch):
+    """From the next network built on, queue each deadline as a timer
+    checked against the monitor table when it fires. Returns a counter of
+    the runs split and of their deadlines still live when their turn
+    comes, each of which the run would have handed on."""
     schedule = Engine.schedule
-    deadline = protocol._NODE_TIMERS["mon"]
+    build = protocol.Network.__init__
     split_gens = weakref.WeakKeyDictionary()  # engine -> generations
-    split = {"runs": 0, "live": 0}
+    counts = {"runs": 0, "live": 0}
 
-    def one_by_one(self, at, body, count=1):
-        if count == 1:
-            return schedule(self, at, body)
-        split["runs"] += 1
-        tag, owners, first = body
-        split_gens.setdefault(self, set()).update(
-            range(first, first + len(owners)))
-        for data, owner in enumerate(owners, first):
-            schedule(self, at, (owner, tag, data))
+    def as_timers(self, at, body, count=1):
+        if type(body) is list:
+            counts["runs"] += 1
+            guards, first = body
+            split_gens.setdefault(self, set()).update(
+                range(first, first + len(guards)))
+        elif type(body) is tuple and len(body) == 2:
+            guards, first = body[:1], body[1]
+        else:
+            return schedule(self, at, body, count)
+        for gen, ms in enumerate(guards, first):
+            schedule(self, at, (ms.watcher, f"mon/{ms.watched}", gen))
 
-    def counting(self, watcher, watched, gen):
-        # the check _on_timers makes before it hands a member on
-        ms = self.monitors[watcher].get(watched)
-        split["live"] += (ms is not None and ms.gen == gen
-                          and gen in split_gens.get(self.engine, ()))
-        deadline(self, watcher, watched, gen)
+    def built(net, engine, **kwargs):
+        build(net, engine, **kwargs)
+        routed = engine.on_timer
 
-    monkeypatch.setattr(Engine, "schedule", one_by_one)
-    # a Network routes its per-node timer tags from this table when built
-    monkeypatch.setitem(protocol._NODE_TIMERS, "mon", counting)
-    return split
+        def on_timer(owner, tag, data):
+            if not tag.startswith("mon/"):
+                return routed(owner, tag, data)
+            ms = net.monitors[owner].get(int(tag[4:]))
+            if ms is not None and ms.gen == data:
+                counts["live"] += data in split_gens.get(net.engine, ())
+                net._on_monitor_deadline(ms)
+
+        engine.on_timer = on_timer
+
+    monkeypatch.setattr(Engine, "schedule", as_timers)
+    monkeypatch.setattr(protocol.Network, "__init__", built)
+    return counts
 
 
 @pytest.mark.parametrize("name,profile", DISTINCT_RUNS)
-def test_bundled_runs_are_unchanged_by_splitting_runs(name, profile,
-                                                      monkeypatch):
-    together = straight_bundled_digests(name, profile)
-    split = split_runs(monkeypatch)
-    assert bundled_digests(name, profile) == together
-    assert split["runs"]
+def test_bundled_runs_are_unchanged_by_looking_up_each_deadline(
+        name, profile, monkeypatch):
+    guarded = straight_bundled_digests(name, profile)
+    counts = look_up_each_deadline(monkeypatch)
+    assert bundled_digests(name, profile) == guarded
+    assert counts["runs"]
 
 
 @pytest.mark.parametrize("profile", PROFILE_ORDER)
-def test_every_single_loss_is_unchanged_by_splitting_runs(profile,
-                                                          monkeypatch):
-    together = straight_single_loss_digests(profile)
-    split = split_runs(monkeypatch)
-    assert single_loss_digests(profile) == together
-    assert split["runs"] and split["live"]
+def test_every_single_loss_is_unchanged_by_looking_up_each_deadline(
+        profile, monkeypatch):
+    guarded = straight_single_loss_digests(profile)
+    counts = look_up_each_deadline(monkeypatch)
+    assert single_loss_digests(profile) == guarded
+    assert counts["runs"] and counts["live"]
