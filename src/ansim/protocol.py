@@ -409,8 +409,9 @@ class Network:
                 and kind not in BOOTSTRAP_KINDS):
             hs = self._handshakes.get(
                 (sender, receiver) if sender < receiver else (receiver, sender))
-            if ((hs is not None and not hs.done)
-                    or self.keys.sealing_key_id(sender, receiver) is None):
+            # a done handshake established the key, and an open one defers
+            if (not hs.done if hs is not None
+                    else self.keys.sealing_key_id(sender, receiver) is None):
                 self._pending_out.setdefault((sender, receiver), []).append(
                     (kind, subject, detail, payload))
                 self._ensure_handshake(sender, receiver)

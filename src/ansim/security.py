@@ -259,11 +259,12 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
         if key_id is None:
             raise NoSessionKey(
                 f"no session key for pair ({sender}, {receiver})")
+    # the record goes by position: as ``_signed=`` it cost 100 to 250 ns
     return Envelope(kind, sender, receiver, payload, sent_at,
                     len(payload) + profile.overhead, subject, detail,
                     pkind._value_, None, key_id,
-                    _signed=[keys, profile.sig_len, kind, sender, receiver,
-                             payload, sent_at, subject, detail, _UNREAD])
+                    [keys, profile.sig_len, kind, sender, receiver, payload,
+                     sent_at, subject, detail, _UNREAD])
 
 
 def unwrap(env: Envelope, profile: SecurityProfile,

@@ -37,9 +37,6 @@ from ansim.scenario import (
 
 from helpers import DISTINCT_RUNS, sweep
 
-BUNDLED = [(name, profile) for name in builtin_scenario_names()
-           for profile in PROFILE_ORDER]
-
 
 def late_crash_after_failover():
     """Bundled admin-failover, where node 2 succeeds node 1 at about 71 s,
@@ -119,7 +116,7 @@ def watch_gaps(net):
     return gaps
 
 
-@pytest.mark.parametrize("name,profile", BUNDLED)
+@pytest.mark.parametrize("name,profile", DISTINCT_RUNS)
 def test_every_member_and_the_administrator_are_watched_at_the_end(
         name, profile):
     net = run_scenario(load_scenario(name), profile=profile).network
@@ -161,7 +158,7 @@ def lossy_churn_cfg():
 
 @pytest.mark.parametrize("cfg,profile", [
     *(pytest.param(load_scenario(name), profile, id=f"{name}-{profile}")
-      for name, profile in BUNDLED),
+      for name, profile in DISTINCT_RUNS),
     pytest.param(lossy_churn_cfg(), "auth-encap", id="lossy-churn")])
 def test_the_watch_plan_holds_after_every_event(cfg, profile):
     engine, net, _, _ = build_simulation(cfg, profile=profile)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import platform
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +125,30 @@ def test_every_envelope_dict_has_one_key_order_with_the_tag_last():
     assert signed.tag == b"t" * 40
     assert list(vars(signed)) == order
     assert signed == unsigned and hash(signed) == hash(unsigned)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="the instance dict layout is CPython's")
+def test_every_envelope_dict_is_one_combined_table():
+    # CPython 3.11 specialises an attribute read on a combined instance
+    # dict, and reads a split (shared-key) one several times slower.
+    # A dict filled key by key on a fresh instance is split, and smaller
+    # than its copy, which is always combined
+    class Head:
+        def tag_of(self, record):
+            return b"t" * 40
+
+    def combined(env):
+        return sys.getsizeof(vars(env)) >= sys.getsizeof(dict(vars(env)))
+
+    unsigned = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, tag=b"t" * 40)
+    assert combined(unsigned)
+    signed = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, 1, None, None, "auth",
+                      None, None, [Head()])
+    assert "tag" not in vars(signed) and combined(signed)
+    assert signed.tag == b"t" * 40
+    assert combined(signed)
+    assert combined(dataclasses.replace(signed, sent_at=1))
 
 
 def test_every_subject_kind_requires_a_subject():

@@ -482,6 +482,53 @@ def test_no_handshakes_outside_session_profile():
         assert not any("key_exchange" in line for line in result.trace)
 
 
+def test_a_sealed_unicast_waits_only_while_its_pair_has_no_session():
+    # auth-encap: _post holds a sealed unicast back while its pair's
+    # handshake is open, or while the pair has neither a handshake nor a
+    # key; otherwise it goes out at once
+    cfg = make_cfg(5, profile="auth-encap", duration_ms=1000)
+    engine, net, _, _ = build_simulation(cfg)
+    sent = []
+    send = engine.send
+
+    def recording(env):
+        sent.append((env.kind, env.sender, env.receiver))
+        return send(env)
+
+    engine.send = recording
+
+    def post(sender, receiver):
+        sent.clear()
+        net._post(EnvelopeKind.SENSOR_DATA, sender, receiver)
+        return sent
+
+    # no session: the reading waits, and its sender opens a handshake
+    assert (2, 3) not in net._handshakes
+    assert net.keys.sealing_key_id(2, 3) is None
+    assert post(2, 3) == [(EnvelopeKind.KEY_EXCHANGE, 2, 3)]
+    assert len(net._pending_out[(2, 3)]) == 1
+    # step 1 has reached node 3, which holds the pair's key and answers;
+    # node 2 has not heard step 2, so the handshake is open and it waits
+    engine.run_until(engine.now + 15)
+    assert net.keys.sealing_key_id(2, 3) is not None
+    assert not net._handshakes[(2, 3)].done
+    assert post(2, 3) == []
+    assert len(net._pending_out[(2, 3)]) == 2
+    # step 2 has reached node 2: the handshake is done, what waited went
+    # out, and both ends send at once
+    engine.run_until(engine.now + 10)
+    assert net._handshakes[(2, 3)].done
+    assert (2, 3) not in net._pending_out
+    assert post(2, 3) == [(EnvelopeKind.SENSOR_DATA, 2, 3)]
+    assert post(3, 2) == [(EnvelopeKind.SENSOR_DATA, 3, 2)]
+    # a key with no handshake entry, as a handshake given up after step 1
+    # leaves it: sent at once
+    net.keys.establish(4, 5)
+    assert (4, 5) not in net._handshakes
+    assert post(4, 5) == [(EnvelopeKind.SENSOR_DATA, 4, 5)]
+    assert (4, 5) not in net._pending_out and (4, 5) not in net._handshakes
+
+
 # ------------------------------------------------------- broadcast delivery
 
 @pytest.mark.parametrize("profile", ["auth", "auth-encap"])
