@@ -127,28 +127,48 @@ def test_every_envelope_dict_has_one_key_order_with_the_tag_last():
     assert signed == unsigned and hash(signed) == hash(unsigned)
 
 
+class _Head:
+    def tag_of(self, record):
+        return b"t" * 40
+
+
+def _signed_envelope():
+    return Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, 1, None, None, "auth",
+                    None, None, [_Head()])
+
+
+def _unsigned():
+    return Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, tag=b"t" * 40)
+
+
+def _signed_before_its_tag_is_read():
+    env = _signed_envelope()
+    assert "tag" not in vars(env)
+    return env
+
+
+def _signed_after_its_tag_is_read():
+    env = _signed_envelope()
+    assert env.tag == b"t" * 40
+    return env
+
+
+def _replaced():
+    return dataclasses.replace(_signed_after_its_tag_is_read(), sent_at=1)
+
+
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="the instance dict layout is CPython's")
-def test_every_envelope_dict_is_one_combined_table():
+@pytest.mark.parametrize("make", [
+    _unsigned, _signed_before_its_tag_is_read, _signed_after_its_tag_is_read,
+    _replaced], ids=["unsigned", "signed", "signed-tag-read", "replaced"])
+def test_every_envelope_dict_is_one_combined_table(make):
     # CPython 3.11 specialises an attribute read on a combined instance
     # dict, and reads a split (shared-key) one several times slower.
     # A dict filled key by key on a fresh instance is split, and smaller
     # than its copy, which is always combined
-    class Head:
-        def tag_of(self, record):
-            return b"t" * 40
-
-    def combined(env):
-        return sys.getsizeof(vars(env)) >= sys.getsizeof(dict(vars(env)))
-
-    unsigned = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, tag=b"t" * 40)
-    assert combined(unsigned)
-    signed = Envelope(EnvelopeKind.PING, 1, 2, b"x", 0, 1, None, None, "auth",
-                      None, None, [Head()])
-    assert "tag" not in vars(signed) and combined(signed)
-    assert signed.tag == b"t" * 40
-    assert combined(signed)
-    assert combined(dataclasses.replace(signed, sent_at=1))
+    env = make()
+    assert sys.getsizeof(vars(env)) >= sys.getsizeof(dict(vars(env)))
 
 
 def test_every_subject_kind_requires_a_subject():

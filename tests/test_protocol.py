@@ -482,10 +482,14 @@ def test_no_handshakes_outside_session_profile():
         assert not any("key_exchange" in line for line in result.trace)
 
 
-def test_a_sealed_unicast_waits_only_while_its_pair_has_no_session():
-    # auth-encap: _post holds a sealed unicast back while its pair's
-    # handshake is open, or while the pair has neither a handshake nor a
-    # key; otherwise it goes out at once
+# auth-encap: _post holds a sealed unicast back while its pair's handshake
+# is open, or while the pair has neither a handshake nor a key; otherwise it
+# goes out at once. One case per state of the pair.
+
+def sealed_network():
+    """A five-node auth-encap network whose sends are recorded, and a
+    ``post(sender, receiver)`` that posts one reading and returns what went
+    out for it."""
     cfg = make_cfg(5, profile="auth-encap", duration_ms=1000)
     engine, net, _, _ = build_simulation(cfg)
     sent = []
@@ -502,11 +506,20 @@ def test_a_sealed_unicast_waits_only_while_its_pair_has_no_session():
         net._post(EnvelopeKind.SENSOR_DATA, sender, receiver)
         return sent
 
-    # no session: the reading waits, and its sender opens a handshake
+    return engine, net, post
+
+
+def test_a_sealed_unicast_without_a_session_waits_and_opens_a_handshake():
+    _, net, post = sealed_network()
     assert (2, 3) not in net._handshakes
     assert net.keys.sealing_key_id(2, 3) is None
     assert post(2, 3) == [(EnvelopeKind.KEY_EXCHANGE, 2, 3)]
     assert len(net._pending_out[(2, 3)]) == 1
+
+
+def test_a_sealed_unicast_waits_while_its_handshake_is_open():
+    engine, net, post = sealed_network()
+    post(2, 3)
     # step 1 has reached node 3, which holds the pair's key and answers;
     # node 2 has not heard step 2, so the handshake is open and it waits
     engine.run_until(engine.now + 15)
@@ -514,15 +527,23 @@ def test_a_sealed_unicast_waits_only_while_its_pair_has_no_session():
     assert not net._handshakes[(2, 3)].done
     assert post(2, 3) == []
     assert len(net._pending_out[(2, 3)]) == 2
+
+
+def test_a_sealed_unicast_goes_out_once_its_handshake_is_done():
+    engine, net, post = sealed_network()
+    post(2, 3)
     # step 2 has reached node 2: the handshake is done, what waited went
     # out, and both ends send at once
-    engine.run_until(engine.now + 10)
+    engine.run_until(engine.now + 25)
     assert net._handshakes[(2, 3)].done
     assert (2, 3) not in net._pending_out
     assert post(2, 3) == [(EnvelopeKind.SENSOR_DATA, 2, 3)]
     assert post(3, 2) == [(EnvelopeKind.SENSOR_DATA, 3, 2)]
-    # a key with no handshake entry, as a handshake given up after step 1
-    # leaves it: sent at once
+
+
+def test_a_sealed_unicast_with_a_key_and_no_handshake_goes_out_at_once():
+    # as a handshake given up after step 1 leaves its pair
+    _, net, post = sealed_network()
     net.keys.establish(4, 5)
     assert (4, 5) not in net._handshakes
     assert post(4, 5) == [(EnvelopeKind.SENSOR_DATA, 4, 5)]
