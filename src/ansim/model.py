@@ -144,17 +144,15 @@ class _SignatureTag:
         return tag
 
 
-# ``init=False``: the generated frozen ``__init__`` sets each field through
-# object.__setattr__, and an envelope is built on every send, then read 20
-# to 30 times. The one below installs its instance dict whole, built as one
-# literal: a combined table, read in about 7 ns an attribute on CPython 3.11.
-# Stores key by key into ``self.__dict__`` make a split (shared-key) table,
-# read in 22 to 28 ns, to save about 220 ns of a 750 ns build; a setattr per
-# field took 1,600 ns (2-core VM, 3.11.7). ``__eq__``, ``__hash__``,
-# ``__repr__`` and the raising ``__setattr__`` are still generated, and
-# ``dataclasses.replace`` goes through this ``__init__``, subject check
-# included. ``_signed`` is no field, so all of them ignore it and
-# ``replace`` leaves it None; each reads ``tag``.
+# ``init=False``: an envelope is read 20 to 30 times, so its instance dict
+# is installed whole, built as one literal: a combined table, read in about
+# 7 ns an attribute on CPython 3.11, where stores key by key make a split
+# (shared-key) table, read in 22 to 28 ns (2-core VM, 3.11.7). Every sent
+# envelope gets that literal from ``security.wrap``, without the class call;
+# this ``__init__`` builds it for envelopes made by hand or by
+# ``dataclasses.replace``, subject check included. ``__eq__``, ``__hash__``,
+# ``__repr__`` and the raising ``__setattr__`` are generated; all read
+# ``tag`` and ignore ``_signed``, no field, which ``replace`` leaves None.
 @dataclass(frozen=True, init=False)
 class Envelope:
     """One message on the wire, built once per send by ``security.wrap``.

@@ -402,9 +402,9 @@ class Network:
         """Send one message under the active profile, deferring it behind a
         session handshake when the profile seals it with a pair key. This
         is the entry for every send that may have to wait; a send that
-        never can, such as a duty timer's status broadcast or its sensor
-        reading under a profile that does not seal, goes to ``_transmit``
-        straight."""
+        never can, a duty timer's status broadcast or its sensor reading
+        under a profile that does not seal, is wrapped and sent by its
+        timer straight."""
         if (self._sealed and receiver != BROADCAST
                 and kind not in BOOTSTRAP_KINDS):
             hs = self._handshakes.get(
@@ -487,6 +487,7 @@ class Network:
                 hs.done = True
                 hs.gen = self._next_gen()
             self._flush_pending(receiver, other)
+            self._flush_pending(other, receiver)  # posted after step 1
 
     # -------------------------------------------------------- authorization
 
@@ -622,7 +623,12 @@ class Network:
             return
         engine = self._engine_ref()
         # a broadcast never waits on a handshake
-        self._transmit(_STATUS_BROADCAST, node, BROADCAST, None, None, None)
+        if node not in engine.crashed:  # as in ``_transmit``
+            now = engine.now
+            engine.send(security.wrap(
+                self.profile, self.keys, _STATUS_BROADCAST, node, BROADCAST,
+                make_payload(_STATUS_BROADCAST, node, now,
+                             self._payload_len[_STATUS_BROADCAST]), now))
         engine.schedule(engine.now + self.timers.status_period_ms,
                         (node, "status", gen))
 
@@ -638,8 +644,12 @@ class Network:
             # only a sealing profile can make a unicast wait on a handshake
             if self._sealed:
                 self._post(_SENSOR_DATA, node, target)
-            else:
-                self._transmit(_SENSOR_DATA, node, target, None, None, None)
+            elif node not in engine.crashed:
+                now = engine.now
+                engine.send(security.wrap(
+                    self.profile, self.keys, _SENSOR_DATA, node, target,
+                    make_payload(_SENSOR_DATA, node, now,
+                                 self._payload_len[_SENSOR_DATA]), now))
         engine.schedule(engine.now + self.timers.sensor_data_period_ms,
                         (node, "sensor", gen))
 
@@ -878,7 +888,7 @@ class Network:
         if purpose == "rtt":
             if sender in fo.pending and fo.pending[sender] is None:
                 fo.pending[sender] = self.engine.now - fo.started_at
-                if all(v is not None for v in fo.pending.values()):
+                if None not in fo.pending.values():
                     fo.gen = self._next_gen()
                     self._measurement_done()
         elif purpose == "confirm" and sender == fo.confirm_target:
@@ -933,25 +943,36 @@ class Network:
         receiver of a broadcast.
 
         What the kind decides comes from its one ``_DELIVERY`` record. The
-        checks every receiver shares (profile, signature, a granted sender)
-        run once per envelope, as does the question of which receivers a
-        pruned kind acts at; bootstrap kinds skip the shared checks, as
-        every receiver reads them. A broadcast goes through ``_deliver_each``'s
-        receiver loop; of a pruned kind, it visits just the receivers that
-        act and those that must log an auth failure. A unicast takes the
-        loop's steps here, for its one receiver and with nothing to skip or
-        batch: the receiver's eligibility, its own auth failure if it
-        cannot open the envelope, the acting check, and then the kind's
-        handler or, for a monitored kind, the reset of the receiver's
-        monitor of the sender and its one next deadline. The step is kept
-        since nearly every envelope delivered is a unicast: sending them
-        through the loop made ``fanout-plain`` ``wall_ref`` 3.4 % worse, in
-        6 of 6 pairs on a 2-core VM.
+        checks every receiver shares (profile, signature, a granted sender, the
+        sealing key's holders; no handler run for one envelope grants a node)
+        run here once per envelope, as does the question of which receivers a
+        pruned kind acts at; bootstrap kinds skip them, as every receiver reads
+        them. A broadcast goes through ``_deliver_each``'s receiver loop; of a
+        pruned kind, it visits just the receivers that act and those that must
+        log an auth failure. A unicast takes the loop's steps here, for its one
+        receiver and with nothing to skip or batch: the receiver's eligibility,
+        its own auth failure if it cannot open the envelope, the acting check,
+        and then the kind's handler or, for a monitored kind, the reset of the
+        receiver's monitor of the sender and its one next deadline. The step is
+        kept since nearly every envelope delivered is a unicast: sending them
+        through the loop made ``fanout-plain`` ``wall_ref`` 3.4 % worse, in 6
+        of 6 pairs on a 2-core VM.
         """
         kind = env.kind
         bootstrap, pruned, monitored, heard_by, at_cmu, at_node = \
             _DELIVERY[kind]
-        readers = None if bootstrap else self._readers(env)
+        readers = None
+        if not bootstrap:
+            try:
+                security.unwrap(env, self.profile, self.keys)
+            except SimError:
+                readers = frozenset()
+            else:
+                if env.sender != CMU_ID and env.sender not in self._granted:
+                    readers = frozenset()
+                elif self._sealed:  # only auth-encap seals
+                    readers = security.key_holders(env, self.profile,
+                                                   self.keys)
         acting = self._acting_receivers(env) if pruned else None
         receiver = env.receiver
         if receiver == BROADCAST:
@@ -1068,22 +1089,6 @@ class Network:
             else:
                 engine.schedule(at, [rearmed, gen - n + 1], n)
             self._gen = gen
-
-    def _readers(self, env: Envelope) -> Optional[Collection[int]]:
-        """Receivers that accept the non-bootstrap ``env``: None for every
-        receiver, an empty set when the envelope fails a check no receiver
-        can pass."""
-        try:
-            security.unwrap(env, self.profile, self.keys)
-        except security.SimError:
-            return frozenset()
-        # handlers run by the receivers of one non-bootstrap envelope never
-        # grant a node, so the sender's standing holds for all of them
-        if env.sender != CMU_ID and env.sender not in self._granted:
-            return frozenset()
-        # only auth-encap seals, so every reader of another profile can open it
-        return (security.key_holders(env, self.profile, self.keys)
-                if self._sealed else None)
 
     def _acting_receivers(self, env: Envelope) -> Optional[tuple]:
         """Receivers whose handler can change anything, or None for all.

@@ -41,6 +41,7 @@ from .model import (
     Envelope,
     EnvelopeKind,
     IdentityHashEnum,
+    SUBJECT_KINDS,
     SimError,
 )
 
@@ -73,6 +74,10 @@ class ProfileKind(IdentityHashEnum):
 _PLAIN = ProfileKind.PLAIN
 _AUTH = ProfileKind.AUTH
 _AUTH_ENCAP = ProfileKind.AUTH_ENCAP
+# ``wrap`` builds envelopes through these, skipping the class call into
+# ``Envelope.__init__``: 640 ns a plain build, not 760 (2-core VM, 3.11.7)
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -246,10 +251,18 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     tag is computed from; ``Envelope.tag`` computes the tag through
     ``keys.tag_of`` on first read.
     """
+    if subject is None and kind in SUBJECT_KINDS:
+        raise SimError(f"{kind._value_} envelope requires a subject")
     pkind = profile.kind
+    env = _new(Envelope)
     if pkind is _PLAIN or kind in BOOTSTRAP_KINDS:
-        return Envelope(kind, sender, receiver, payload, sent_at,
-                        len(payload), subject, detail, pkind._value_)
+        _setattr(env, "__dict__", {
+            "kind": kind, "sender": sender, "receiver": receiver,
+            "payload": payload, "sent_at": sent_at, "wire_len": len(payload),
+            "subject": subject, "detail": detail,
+            "profile_name": pkind._value_, "sealed_key_id": None,
+            "_signed": None, "tag": None})
+        return env
     if pkind is _AUTH:
         key_id = None
     elif receiver == BROADCAST:
@@ -259,12 +272,15 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
         if key_id is None:
             raise NoSessionKey(
                 f"no session key for pair ({sender}, {receiver})")
-    # the record goes by position: as ``_signed=`` it cost 100 to 250 ns
-    return Envelope(kind, sender, receiver, payload, sent_at,
-                    len(payload) + profile.overhead, subject, detail,
-                    pkind._value_, None, key_id,
-                    [keys, profile.sig_len, kind, sender, receiver, payload,
-                     sent_at, subject, detail, _UNREAD])
+    _setattr(env, "__dict__", {
+        "kind": kind, "sender": sender, "receiver": receiver,
+        "payload": payload, "sent_at": sent_at,
+        "wire_len": len(payload) + profile.overhead, "subject": subject,
+        "detail": detail, "profile_name": pkind._value_,
+        "sealed_key_id": key_id, "_signed": [
+            keys, profile.sig_len, kind, sender, receiver, payload, sent_at,
+            subject, detail, _UNREAD]})
+    return env
 
 
 def unwrap(env: Envelope, profile: SecurityProfile,

@@ -27,6 +27,37 @@ from ansim.model import (
     is_lrn,
     make_payload,
 )
+from ansim.security import KeyRegistry, SecurityProfile, wrap
+
+PROFILES = {
+    "plain": SecurityProfile.plain(),
+    "auth": SecurityProfile.auth_only(40),
+    "auth-encap": SecurityProfile.auth_encap(40, 320, 64),
+}
+
+
+def _keys():
+    """Keys with a session between nodes 1 and 2 and between node 1 and
+    the management unit."""
+    keys = KeyRegistry(7, {1, 2})
+    keys.establish(1, 2)
+    keys.establish(1, CMU_ID)
+    return keys
+
+
+def _wrapped(profile, kind=EnvelopeKind.SENSOR_DATA, receiver=2):
+    return wrap(PROFILES[profile], _keys(), kind, 1, receiver, b"x" * 16, 0)
+
+
+# envelopes as ``wrap`` builds them: (id, profile, kind, receiver, signed)
+WRAPPED = [
+    ("wrap-plain", "plain", EnvelopeKind.SENSOR_DATA, 2, False),
+    ("wrap-auth", "auth", EnvelopeKind.SENSOR_DATA, 2, True),
+    ("wrap-pair-sealed", "auth-encap", EnvelopeKind.SENSOR_DATA, 2, True),
+    ("wrap-group-sealed", "auth-encap", EnvelopeKind.STATUS_BROADCAST,
+     BROADCAST, True),
+    ("wrap-bootstrap", "auth-encap", EnvelopeKind.KEY_EXCHANGE, 2, False),
+]
 
 
 def test_rank_partition():
@@ -125,6 +156,13 @@ def test_every_envelope_dict_has_one_key_order_with_the_tag_last():
     assert signed.tag == b"t" * 40
     assert list(vars(signed)) == order
     assert signed == unsigned and hash(signed) == hash(unsigned)
+    # wrap builds its own dicts, in the same order
+    for case, profile, kind, receiver, is_signed in WRAPPED:
+        env = _wrapped(profile, kind, receiver)
+        if is_signed:
+            assert list(vars(env)) == order[:-1], case
+            assert env.tag is not None
+        assert list(vars(env)) == order, case
 
 
 class _Head:
@@ -157,11 +195,30 @@ def _replaced():
     return dataclasses.replace(_signed_after_its_tag_is_read(), sent_at=1)
 
 
+def _wrapped_maker(profile, kind, receiver, read_tag):
+    def make():
+        env = _wrapped(profile, kind, receiver)
+        if read_tag:
+            assert env.tag is not None and "tag" in vars(env)
+        return env
+    return make
+
+
+_WRAPPED_MAKERS = [
+    pytest.param(_wrapped_maker(profile, kind, receiver, read_tag),
+                 id=case + ("-tag-read" if read_tag else ""))
+    for case, profile, kind, receiver, signed in WRAPPED
+    for read_tag in ((False, True) if signed else (False,))]
+
+
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="the instance dict layout is CPython's")
 @pytest.mark.parametrize("make", [
-    _unsigned, _signed_before_its_tag_is_read, _signed_after_its_tag_is_read,
-    _replaced], ids=["unsigned", "signed", "signed-tag-read", "replaced"])
+    pytest.param(_unsigned, id="unsigned"),
+    pytest.param(_signed_before_its_tag_is_read, id="signed"),
+    pytest.param(_signed_after_its_tag_is_read, id="signed-tag-read"),
+    pytest.param(_replaced, id="replaced"),
+    *_WRAPPED_MAKERS])
 def test_every_envelope_dict_is_one_combined_table(make):
     # CPython 3.11 specialises an attribute read on a combined instance
     # dict, and reads a split (shared-key) one several times slower.
@@ -178,6 +235,16 @@ def test_every_subject_kind_requires_a_subject():
         assert Envelope(kind, 1, CMU_ID, b"x", 0, subject=0).subject == 0
     for kind in set(EnvelopeKind) - SUBJECT_KINDS:
         assert Envelope(kind, 1, CMU_ID, b"x", 0).subject is None
+    # wrap builds its envelopes without the class call, and checks the same
+    for profile in PROFILES.values():
+        for kind in SUBJECT_KINDS:
+            with pytest.raises(SimError, match=kind.value):
+                wrap(profile, _keys(), kind, 1, CMU_ID, b"x", 0)
+            assert wrap(profile, _keys(), kind, 1, CMU_ID, b"x", 0,
+                        subject=0).subject == 0
+        for kind in set(EnvelopeKind) - SUBJECT_KINDS:
+            assert wrap(profile, _keys(), kind, 1, CMU_ID, b"x",
+                        0).subject is None
 
 
 def test_hot_path_enums_hash_by_identity():

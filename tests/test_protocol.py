@@ -541,6 +541,21 @@ def test_a_sealed_unicast_goes_out_once_its_handshake_is_done():
     assert post(3, 2) == [(EnvelopeKind.SENSOR_DATA, 3, 2)]
 
 
+def test_a_sealed_unicast_the_responder_posts_goes_out_at_step_2():
+    engine, net, post = sealed_network()
+    post(2, 3)
+    # node 3 has answered step 1 and holds the pair's key, but the
+    # handshake is open until node 2 hears step 2, so node 3's reading waits
+    engine.run_until(engine.now + 15)
+    sent = post(3, 2)
+    assert sent == [] and len(net._pending_out[(3, 2)]) == 1
+    # step 2 reaches node 2 and what waited in both directions goes out
+    engine.run_until(engine.now + 1000)
+    assert net._handshakes[(2, 3)].done
+    assert not net._pending_out
+    assert sent.count((EnvelopeKind.SENSOR_DATA, 3, 2)) == 1
+
+
 def test_a_sealed_unicast_with_a_key_and_no_handshake_goes_out_at_once():
     # as a handshake given up after step 1 leaves its pair
     _, net, post = sealed_network()
@@ -623,6 +638,24 @@ def test_a_unicast_sealed_under_a_key_its_receiver_lacks_is_refused():
     assert_refused_once(engine, net,
                         dataclasses.replace(reading, sealed_key_id=other),
                         reading)
+
+
+@pytest.mark.parametrize("profile", PROFILE_ORDER)
+def test_a_unicast_from_a_sender_not_granted_is_refused(profile):
+    # the sender's standing is one of the checks every receiver shares
+    engine, net, reading = settled_reading(profile)
+    monitor = dataclasses.replace(net.monitors[1][2])
+    before = len(net.notifications)
+    hw = net._granted.pop(2)
+    engine.on_deliver(reading)
+    assert [(n.severity, n.cause, n.subject, n.reporter)
+            for n in net.notifications[before:]] == [
+        (Severity.ALERT, Cause.AUTH_FAILURE, 2, 1)]
+    assert net.monitors[1][2] == monitor
+    net._granted[2] = hw
+    engine.on_deliver(reading)
+    assert len(net.notifications) == before + 1
+    assert net.monitors[1][2].gen != monitor.gen
 
 
 def test_signature_tags_computed_once_per_delivered_envelope(monkeypatch):
@@ -740,19 +773,26 @@ def test_unregistered_receivers_fail_every_bootstrap_role_assignment():
 
 
 def test_one_envelope_is_built_per_send(monkeypatch):
+    # wrap builds each envelope it sends without the class call, whose
+    # __init__ is left to envelopes built by hand and by replace
     cfg = make_cfg(50, profile="auth-encap", duration_ms=120000)
     engine, net, recorder, _ = build_simulation(cfg)
-    built = 0
-    init = Envelope.__init__
+    counts = {"wraps": 0, "inits": 0}
+    wrap, init = security.wrap, Envelope.__init__
+
+    def counting_wrap(*args, **kwargs):
+        counts["wraps"] += 1
+        return wrap(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
+        counts["inits"] += 1
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(security, "wrap", counting_wrap)
     monkeypatch.setattr(Envelope, "__init__", counting_init)
     engine.run_until(cfg.duration_ms)
-    assert built == recorder.sent > 0
+    assert counts["wraps"] == recorder.sent > 0
+    assert counts["inits"] == 0
 
 
 def kinds_heard(monkeypatch, *, broadcast, status=NodeStatus.ACTIVE,
@@ -901,7 +941,9 @@ def test_a_detached_network_names_the_cause():
 
 def test_every_wrapped_envelope_is_recorded(monkeypatch):
     # a crashed node's timers still fire, but the messages they would send
-    # are not built: each wrap is one recorded send, delivered or lost
+    # are not built: each wrap is one recorded send, delivered or lost. The
+    # duty timers wrap their own sends, a sensor's unless its profile seals
+    # them, so every profile runs, with a crashed administrator and sensor
     wraps = 0
     wrap = security.wrap
 
@@ -911,8 +953,11 @@ def test_every_wrapped_envelope_is_recorded(monkeypatch):
         return wrap(*args)
 
     monkeypatch.setattr(security, "wrap", counting_wrap)
-    for name in ("admin-failover", "fire-sensor-dropout"):
-        wraps = 0
-        report = run_scenario(load_scenario(name),
-                              profile="auth-encap").report
-        assert wraps == report.sent > 0
+    sensor_crash = make_cfg(5, duration_ms=60000, faults=[
+        FaultSpec(target=4, kind=FaultKind.CRASH, at_ms=10000)])
+    for cfg in (load_scenario("admin-failover"),
+                load_scenario("fire-sensor-dropout"), sensor_crash):
+        for profile in PROFILE_ORDER:
+            wraps = 0
+            report = run_scenario(cfg, profile=profile).report
+            assert wraps == report.sent > 0, (cfg.name, profile)

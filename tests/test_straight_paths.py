@@ -1,20 +1,22 @@
 """A unicast delivered in one step, and a duty send put straight on the
 wire, behave as they would through the general paths.
 
-``Network._on_deliver`` takes a unicast's steps itself, for its one
-receiver, and leaves the receiver loop ``Network._deliver_each`` to
-broadcasts. The duty timers hand a status broadcast, and a sensor reading
-under a profile that does not seal, to ``Network._transmit`` without the
-handshake check of ``Network._post``, which could never defer them.
-Routing every unicast back through the loop as a one-receiver set, and
-every duty send back through ``_post``, must give the same report, trace
-and sends, byte for byte, on the distinct bundled runs and on every single
-lost send of a small network.
+``Network._on_deliver`` runs the checks every receiver shares itself,
+takes a unicast's steps itself, for its one receiver, and leaves the
+receiver loop ``Network._deliver_each`` to broadcasts. The duty timers
+wrap and send a status broadcast, and a sensor reading under a profile
+that does not seal, themselves, without the handshake check of
+``Network._post``, which could never defer them. Routing every unicast
+back through the loop as a one-receiver set, after the shared checks as a
+separate reference writes them, and every duty send back through
+``_post``, must give the same report, trace and sends, byte for byte, on
+the distinct bundled runs and on every single lost send of a small
+network.
 """
 
 import pytest
 
-from ansim import protocol
+from ansim import protocol, security
 from ansim.model import (
     BROADCAST,
     CMU_ID,
@@ -22,6 +24,7 @@ from ansim.model import (
     LRN_ROLES,
     NodeStatus,
     Role,
+    SimError,
 )
 from ansim.protocol import Network
 from ansim.runner import PROFILE_ORDER
@@ -42,13 +45,24 @@ def through_general_paths(monkeypatch):
     routed = {"unicasts": 0, "duty sends": 0}
     on_deliver = Network._on_deliver
 
+    # the checks every receiver shares, written apart from _on_deliver
+    def readers_of(self, env):
+        try:
+            security.unwrap(env, self.profile, self.keys)
+        except SimError:
+            return frozenset()
+        if env.sender != CMU_ID and env.sender not in self._granted:
+            return frozenset()
+        return (security.key_holders(env, self.profile, self.keys)
+                if self._sealed else None)
+
     def through_loop(self, env):
         if env.receiver == BROADCAST:
             on_deliver(self, env)
             return
         routed["unicasts"] += 1
         rec = protocol._DELIVERY[env.kind]
-        readers = None if rec.bootstrap else self._readers(env)
+        readers = None if rec.bootstrap else readers_of(self, env)
         acting = self._acting_receivers(env) if rec.pruned else None
         self._deliver_each(env, (env.receiver,), readers, acting)
 

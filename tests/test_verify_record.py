@@ -19,7 +19,6 @@ import dataclasses
 import pytest
 
 from ansim import security
-from ansim.model import Envelope
 from ansim.runner import PROFILE_ORDER
 
 from helpers import (
@@ -38,7 +37,7 @@ def strip_the_record(monkeypatch):
     without the record ``wrap`` hands it, so ``unwrap`` hashes every tag
     again. Returns a counter of the tags computed and the envelopes signed
     from now on."""
-    tag_for = security._tag_for
+    tag_for, wrap = security._tag_for, security.wrap
     counted = {"tags": 0, "signed": 0}
 
     def counting(*args):
@@ -46,14 +45,16 @@ def strip_the_record(monkeypatch):
         return tag_for(*args)
 
     def unrecorded(*args, **kwargs):
-        # wrap hands a signed envelope its record as the twelfth argument
-        counted["signed"] += len(args) > 11 and args[11] is not None
+        env = wrap(*args, **kwargs)
+        counted["signed"] += env._signed is not None
         # replace reads every field, the tag included, and copies fields
         # only
-        return dataclasses.replace(Envelope(*args, **kwargs))
+        env = dataclasses.replace(env)
+        assert env._signed is None
+        return env
 
     monkeypatch.setattr(security, "_tag_for", counting)
-    monkeypatch.setattr(security, "Envelope", unrecorded)
+    monkeypatch.setattr(security, "wrap", unrecorded)
     return counted
 
 
