@@ -217,6 +217,10 @@ class Envelope:
         # copy is verified by hashing its tag again
         return dict(self.__dict__, tag=self.tag, _signed=None)
 
+    def __setstate__(self, state: dict) -> None:
+        # one dict, as ``__init__`` installs: unpickling fills key by key
+        object.__setattr__(self, "__dict__", dict(state))
+
 
 def make_payload(kind: EnvelopeKind, sender: int, at: int, length: int) -> bytes:
     """Deterministic filler payload of exactly ``length`` bytes: the head

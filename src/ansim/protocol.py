@@ -403,8 +403,8 @@ class Network:
         session handshake when the profile seals it with a pair key. This
         is the entry for every send that may have to wait; a send that
         never can, a duty timer's status broadcast or its sensor reading
-        under a profile that does not seal, is wrapped and sent by its
-        timer straight."""
+        under a profile that does not seal or once its pair's handshake is
+        done, is wrapped and sent by its timer straight."""
         if (self._sealed and receiver != BROADCAST
                 and kind not in BOOTSTRAP_KINDS):
             hs = self._handshakes.get(
@@ -641,8 +641,10 @@ class Network:
         engine = self._engine_ref()
         target = st.known_admin if st.known_admin is not None else CMU_ID
         if target != node:
-            # only a sealing profile can make a unicast wait on a handshake
-            if self._sealed:
+            # a sealed reading waits in _post until its handshake is done
+            if self._sealed and not getattr(self._handshakes.get(
+                    (node, target) if node < target else (target, node)),
+                    "done", False):
                 self._post(_SENSOR_DATA, node, target)
             elif node not in engine.crashed:
                 now = engine.now
@@ -943,20 +945,21 @@ class Network:
         receiver of a broadcast.
 
         What the kind decides comes from its one ``_DELIVERY`` record. The
-        checks every receiver shares (profile, signature, a granted sender, the
-        sealing key's holders; no handler run for one envelope grants a node)
-        run here once per envelope, as does the question of which receivers a
-        pruned kind acts at; bootstrap kinds skip them, as every receiver reads
-        them. A broadcast goes through ``_deliver_each``'s receiver loop; of a
-        pruned kind, it visits just the receivers that act and those that must
-        log an auth failure. A unicast takes the loop's steps here, for its one
-        receiver and with nothing to skip or batch: the receiver's eligibility,
-        its own auth failure if it cannot open the envelope, the acting check,
-        and then the kind's handler or, for a monitored kind, the reset of the
-        receiver's monitor of the sender and its one next deadline. The step is
-        kept since nearly every envelope delivered is a unicast: sending them
-        through the loop made ``fanout-plain`` ``wall_ref`` 3.4 % worse, in 6
-        of 6 pairs on a 2-core VM.
+        checks every receiver shares (profile, signature, a granted sender,
+        the sealing key's holders, from the key registry; no handler run for
+        one envelope grants a node) run here once per envelope, as does the
+        question of which receivers a pruned kind acts at; bootstrap kinds
+        skip them, as every receiver reads them. A broadcast goes through
+        ``_deliver_each``'s receiver loop; of a pruned kind, it visits just
+        the receivers that act and those that must log an auth failure. A
+        unicast takes the loop's steps here, for its one receiver and with
+        nothing to skip or batch: the receiver's eligibility, its own auth
+        failure if it cannot open the envelope, the acting check, and then
+        the kind's handler or, for a monitored kind, the reset of the
+        receiver's monitor of the sender and its one next deadline. The step
+        is kept since nearly every envelope delivered is a unicast: sending
+        them through the loop made ``fanout-plain`` ``wall_ref`` 3.4 % worse,
+        in 6 of 6 pairs on a 2-core VM.
         """
         kind = env.kind
         bootstrap, pruned, monitored, heard_by, at_cmu, at_node = \
@@ -971,8 +974,7 @@ class Network:
                 if env.sender != CMU_ID and env.sender not in self._granted:
                     readers = frozenset()
                 elif self._sealed:  # only auth-encap seals
-                    readers = security.key_holders(env, self.profile,
-                                                   self.keys)
+                    readers = self.keys.session_holders(env.sealed_key_id)
         acting = self._acting_receivers(env) if pruned else None
         receiver = env.receiver
         if receiver == BROADCAST:

@@ -268,7 +268,8 @@ def wrap(profile: SecurityProfile, keys: KeyRegistry, kind: EnvelopeKind,
     elif receiver == BROADCAST:
         key_id = GROUP_KEY_ID
     else:
-        key_id = keys.sealing_key_id(sender, receiver)
+        key_id = keys._sessions.get(
+            (sender, receiver) if sender < receiver else (receiver, sender))
         if key_id is None:
             raise NoSessionKey(
                 f"no session key for pair ({sender}, {receiver})")
@@ -290,8 +291,8 @@ def unwrap(env: Envelope, profile: SecurityProfile,
     Raises ProfileMismatch when the envelope was wrapped under a different
     profile, WrongSessionKey when a sealed profile's envelope names no
     sealing key, and TagMismatch when the signature check fails. These are
-    the checks every receiver shares, so a broadcast is verified once;
-    ``key_holders`` then says which of its receivers can open it.
+    the checks every receiver shares, so a broadcast is verified once; its
+    sealing key's holders then say which of its receivers can open it.
 
     When the record that ``wrap`` gave the envelope names ``keys``, the
     envelope's signed fields and the profile's ``sig_len`` as the very

@@ -45,7 +45,7 @@ from ansim.scenario import (
     load_scenario,
 )
 
-from helpers import DISTINCT_RUNS
+from helpers import DISTINCT_RUNS, five_nodes
 
 
 def make_cfg(n_nodes, *, powers=None, faults=(), overrides=(),
@@ -563,6 +563,82 @@ def test_a_sealed_unicast_with_a_key_and_no_handshake_goes_out_at_once():
     assert (4, 5) not in net._handshakes
     assert post(4, 5) == [(EnvelopeKind.SENSOR_DATA, 4, 5)]
     assert (4, 5) not in net._pending_out and (4, 5) not in net._handshakes
+
+
+def handshake_state(net, a, b):
+    hs = net._handshakes.get((a, b) if a < b else (b, a))
+    if hs is None:
+        return "none"
+    if hs.done:
+        return "done"
+    return "open, keyed" if net.keys.sealing_key_id(a, b) else "open"
+
+
+@pytest.mark.parametrize("opener", ["sensor", "administrator"])
+def test_a_sealed_reading_skips_post_once_its_handshake_is_done(opener,
+                                                               monkeypatch):
+    # a sensor's reading goes through _post, which defers it, until the
+    # handshake with its administrator is done: one its first reading opens,
+    # or one the administrator opened, after whose step 1 the sensor holds
+    # the pair's key. From then on the timer wraps and sends each reading
+    # itself, sealed with the pair's key
+    posted = []  # (sender, its pair's handshake, deferred) per reading posted
+    post = protocol.Network._post
+
+    def spy(self, kind, sender, receiver, **kwargs):
+        if kind is not EnvelopeKind.SENSOR_DATA:
+            return post(self, kind, sender, receiver, **kwargs)
+        state = handshake_state(self, sender, receiver)
+        waiting = len(self._pending_out.get((sender, receiver), ()))
+        post(self, kind, sender, receiver, **kwargs)
+        posted.append((sender, state, len(
+            self._pending_out.get((sender, receiver), ())) > waiting))
+
+    due = []  # (sensor, time) of each sensor period that fired
+    on_sensor = protocol._FIXED_TIMERS["sensor"]
+
+    def counting(self, node, arg, gen):
+        due.append((node, self.engine.now))
+        on_sensor(self, node, arg, gen)
+
+    monkeypatch.setattr(protocol.Network, "_post", spy)
+    monkeypatch.setitem(protocol._FIXED_TIMERS, "sensor", counting)
+    cfg = five_nodes("auth-encap")
+    engine, net, recorder, _ = build_simulation(cfg)
+    sensors = [2, 3, 4, 5]
+    opened = {s: "none" for s in sensors}
+    if opener == "administrator":
+        # on 10 ms links, step 1 reaches sensor 2 5 ms before its first
+        # reading is due and step 2 reaches the administrator 5 ms after
+        engine.run_until(20000)
+        first = min(t for s, t in due if s == 2)
+        posted.clear()
+        due.clear()
+        engine, net, recorder, _ = build_simulation(cfg)
+        engine.run_until(first - 15)
+        net._ensure_handshake(1, 2)
+        opened[2] = "open, keyed"
+    sent = []
+    send = engine.send
+
+    def recording(env):
+        if env.kind is EnvelopeKind.SENSOR_DATA:
+            sent.append(env)
+        return send(env)
+
+    engine.send = recording
+    engine.run_until(60000)
+    assert net.admin_id == 1
+    assert posted == [(s, opened[s], True) for s in sensors]
+    # five periods each, every reading sent sealed and counted
+    assert sorted(s for s, _ in due) == sorted(sensors * 5)
+    assert sorted(env.sender for env in sent) == sorted(s for s, _ in due)
+    assert all(env.receiver == 1 and env.sealed_key_id == f"1:{env.sender}"
+               for env in sent)
+    assert recorder.messages_by_category["data"] == len(sent)
+    assert recorder.bytes_by_category["data"] == sum(
+        env.wire_len for env in sent) == len(sent) * (
+        net._payload_len[EnvelopeKind.SENSOR_DATA] + net.profile.overhead)
 
 
 # ------------------------------------------------------- broadcast delivery

@@ -5,13 +5,14 @@ wire, behave as they would through the general paths.
 takes a unicast's steps itself, for its one receiver, and leaves the
 receiver loop ``Network._deliver_each`` to broadcasts. The duty timers
 wrap and send a status broadcast, and a sensor reading under a profile
-that does not seal, themselves, without the handshake check of
-``Network._post``, which could never defer them. Routing every unicast
-back through the loop as a one-receiver set, after the shared checks as a
-separate reference writes them, and every duty send back through
-``_post``, must give the same report, trace and sends, byte for byte, on
-the distinct bundled runs and on every single lost send of a small
-network.
+that does not seal or once its pair's handshake is done, themselves,
+without the handshake check of ``Network._post``, which could not defer
+them; only a sealed reading whose pair has no finished handshake goes
+through ``_post``. Routing every unicast back through the loop as a
+one-receiver set, after the shared checks as a separate reference writes
+them, and every duty send back through ``_post``, must give the same
+report, trace and sends, byte for byte, on the distinct bundled runs and
+on every single lost send of a small network.
 """
 
 import pytest
